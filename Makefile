@@ -3,7 +3,7 @@
 # `make race` additionally race-tests the concurrency-heavy packages;
 # `make ci` is the full gate (lint + build + test + race, a repeated race
 # run of the simulation/experiment packages, 64-host scale, malleability
-# and multi-job smokes, and the benchmark drift guard); `make bench`
+# and fleet smokes, and the benchmark drift guard); `make bench`
 # regenerates BENCH_scale.json, BENCH_livemig.json, BENCH_malleable.json,
 # BENCH_multijob.json and BENCH_persist.json.
 
@@ -59,7 +59,6 @@ ci: check
 	$(GO) test -race -count=2 ./internal/simnet ./internal/experiments
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42
 	$(GO) run ./cmd/repro -exp malleable -seed 42
-	$(GO) run ./cmd/repro -exp multijob -seed 42
 	$(GO) run ./cmd/repro -exp fleet -seed 1 -runs 25
 	$(GO) run ./cmd/repro -exp fleet -seed 7 -runs 25
 	$(MAKE) benchguard

@@ -162,7 +162,7 @@ func main() {
 	}
 	if *exp == "multijob" {
 		ran = true
-		rows := experiments.RunMultijob(experiments.MultijobConfig{Params: params})
+		rows := experiments.RunMultijob(*seed)
 		fmt.Print(experiments.RenderMultijob(rows))
 		fmt.Println()
 	}

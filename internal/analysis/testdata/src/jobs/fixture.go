@@ -35,7 +35,7 @@ func TieBreak() bool {
 }
 
 // SeededShuffle is fine: an explicitly seeded source is deterministic, the
-// multijob experiment's idiom.
+// idiom that builds the scenarios scenario.Runner executes.
 func SeededShuffle(seed int64, names []string) {
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })

@@ -1,23 +1,46 @@
 package experiments
 
 import (
-	"reflect"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"autoresched/internal/jobs"
+	"autoresched/internal/scenario"
 )
 
-// TestMultijobDeterministic: the shoot-out is a pure function of the seed —
-// two runs produce identical rows and byte-identical reports.
+// TestMultijobDeterministic: the shoot-out is a pure function of the seed,
+// pinned byte for byte. The goldens are `repro -exp multijob -seed N`
+// output (the report plus the blank line repro prints after it); a diff here
+// is a behaviour change in the planner or the scenario runner to explain,
+// not a file to regenerate.
 func TestMultijobDeterministic(t *testing.T) {
-	cfg := MultijobConfig{Params: Params{Seed: 1}}
-	a := RunMultijob(cfg)
-	b := RunMultijob(cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("rows differ between identical runs:\n%#v\n%#v", a, b)
+	for _, seed := range []int64{1, 2, 3, 4, 42} {
+		want, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("multijob-seed-%d.txt", seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RenderMultijob(RunMultijob(seed)) + "\n"; got != string(want) {
+			t.Errorf("seed %d: report drifted from its golden:\n%s\n--- want ---\n%s", seed, got, want)
+		}
 	}
-	if ra, rb := RenderMultijob(a), RenderMultijob(b); ra != rb {
-		t.Fatalf("reports differ between identical runs:\n%s\n---\n%s", ra, rb)
+}
+
+// TestMultijobScenarioCoherent: every arm's pinned scenario lies inside the
+// generator's space, widened only to the shoot-out's fleet and queue — so
+// rigid jobs carry MinWorld = Gang and every arrival and crash falls inside
+// the horizon.
+func TestMultijobScenarioCoherent(t *testing.T) {
+	sp := scenario.DefaultSpace()
+	sp.Hosts.Max = multijobHosts
+	sp.JobCount.Max = multijobJobs
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, p := range jobs.Policies() {
+			if err := sp.Check(multijobScenario(seed, p.Name())); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+			}
+		}
 	}
 }
 
@@ -28,12 +51,11 @@ func TestMultijobDeterministic(t *testing.T) {
 // buys). Every arm drains the full queue.
 func TestMultijobPolicyOrdering(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		cfg := MultijobConfig{Params: Params{Seed: seed}}
-		rows := RunMultijob(cfg)
+		rows := RunMultijob(seed)
 		byPolicy := make(map[string]MultijobRow, len(rows))
 		for _, r := range rows {
-			if r.Completed != cfg.withDefaults().Jobs {
-				t.Fatalf("seed %d: policy %s completed %d of %d jobs", seed, r.Policy, r.Completed, cfg.withDefaults().Jobs)
+			if r.Completed != multijobJobs {
+				t.Fatalf("seed %d: policy %s completed %d of %d jobs", seed, r.Policy, r.Completed, multijobJobs)
 			}
 			byPolicy[r.Policy] = r
 		}

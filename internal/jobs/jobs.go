@@ -6,7 +6,7 @@
 // while keeping every decision deterministic on the sim clock: admission
 // order is the submission sequence, and the planner is a pure function of
 // the queue and a cluster snapshot, so the live dispatcher (internal/core)
-// and the -exp multijob discrete simulation share one brain.
+// and the scenario.Runner tick simulation share one brain.
 package jobs
 
 import (
@@ -214,8 +214,8 @@ var ErrCancelled = errors.New("jobs: job cancelled")
 
 // Queue is the submission queue: it owns every job's state machine and
 // hands the planner deterministic pending/running snapshots. Admission
-// itself is the dispatcher's business (core.System live, the multijob
-// simulation offline); the queue only keeps the book.
+// itself is the dispatcher's business (core.System live, scenario.Runner
+// offline); the queue only keeps the book.
 type Queue struct {
 	clock vclock.Clock
 	sink  events.Sink

@@ -8,7 +8,7 @@ import (
 // Policy shapes one admission cycle: the order pending jobs are considered
 // in, whether a blocked job may preempt running work, and whether the cycle
 // continues past a blocked job. The three stock policies are the shoot-out
-// of -exp multijob:
+// of -exp multijob, run through scenario.Runner:
 //
 //   - FIFO: submission order, strict head-of-line blocking, no preemption —
 //     the baseline batch scheduler.

@@ -99,6 +99,17 @@ type Result struct {
 	Spans    []MigrationSpan
 	Resizes  []ResizeSpan
 	Metrics  *metrics.Registry
+	// Jobs holds each job's admission and completion seconds, in the
+	// scenario's job order. The run dir does not carry it.
+	Jobs []JobRun
+}
+
+// JobRun is one job's timeline: the second it first admitted and the
+// second it completed, -1 for a job that never did.
+type JobRun struct {
+	Name     string
+	AdmitSec int
+	DoneSec  int
 }
 
 // Runner executes scenarios. The zero value is ready.
@@ -115,7 +126,8 @@ type runJob struct {
 	hosts      []string
 	running    bool
 	done       bool
-	finish     int
+	// run is the job's entry in Result.Jobs.
+	run *JobRun
 	// pausedUntil stalls progress while a modeled migration or resize
 	// freeze window is charged (ticks).
 	pausedUntil int
@@ -186,8 +198,10 @@ func (Runner) Run(s Scenario) Result {
 
 	// Jobs, in submission order: arrival second, then spec order.
 	jobSet := make([]*runJob, len(s.Jobs))
+	res.Jobs = make([]JobRun, len(s.Jobs))
 	for i := range s.Jobs {
-		jobSet[i] = &runJob{spec: s.Jobs[i]}
+		res.Jobs[i] = JobRun{Name: s.Jobs[i].Name, AdmitSec: -1, DoneSec: -1}
+		jobSet[i] = &runJob{spec: s.Jobs[i], run: &res.Jobs[i]}
 	}
 	sort.SliceStable(jobSet, func(a, b int) bool { return jobSet[a].spec.ArrivalSec < jobSet[b].spec.ArrivalSec })
 	for i, j := range jobSet {
@@ -266,6 +280,30 @@ func (Runner) Run(s Scenario) Result {
 			j.spec.Name, from, to, mode, rounds, downtime.Round(100*time.Microsecond), why)
 	}
 
+	// freeHosts returns up to n live hosts that no running job occupies and
+	// j may use, in fleet order.
+	freeHosts := func(j *runJob, n int) []string {
+		occupied := map[string]bool{}
+		for _, r := range jobSet {
+			for _, h := range r.hosts {
+				occupied[h] = true
+			}
+		}
+		var free []string
+		for _, h := range hostNames {
+			if len(free) == n {
+				break
+			}
+			if _, down := downUntil[h]; down {
+				continue
+			}
+			if !occupied[h] && eligible(j.spec.Name, h) {
+				free = append(free, h)
+			}
+		}
+		return free
+	}
+
 	// migrate models a forced migration: one rank of a running job moves to
 	// the first free eligible host and pays the mode's freeze window.
 	migrate := func(j *runJob, tick int, why string) {
@@ -273,27 +311,12 @@ func (Runner) Run(s Scenario) Result {
 			digest("migrate job=%s skipped (%s)", j.spec.Name, "not running")
 			return
 		}
-		from := j.hosts[len(j.hosts)-1]
-		to := ""
-		occupied := map[string]bool{}
-		for _, r := range jobSet {
-			for _, h := range r.hosts {
-				occupied[h] = true
-			}
-		}
-		for _, h := range hostNames {
-			if _, down := downUntil[h]; down {
-				continue
-			}
-			if !occupied[h] && eligible(j.spec.Name, h) {
-				to = h
-				break
-			}
-		}
-		if to == "" {
+		free := freeHosts(j, 1)
+		if len(free) == 0 {
 			digest("migrate job=%s skipped (no free destination)", j.spec.Name)
 			return
 		}
+		from, to := j.hosts[len(j.hosts)-1], free[0]
 		j.hosts[len(j.hosts)-1] = to
 		chargeMigration(j, tick, from, to, why)
 	}
@@ -311,33 +334,16 @@ func (Runner) Run(s Scenario) Result {
 			digest("resize job=%s skipped (already at world %d)", j.spec.Name, world)
 			return
 		}
-		grew := false
-		if world < old {
-			j.hosts = j.hosts[:world]
-		} else {
-			occupied := map[string]bool{}
-			for _, r := range jobSet {
-				for _, h := range r.hosts {
-					occupied[h] = true
-				}
-			}
-			for _, h := range hostNames {
-				if len(j.hosts) == world {
-					break
-				}
-				if _, down := downUntil[h]; down {
-					continue
-				}
-				if !occupied[h] && eligible(j.spec.Name, h) {
-					j.hosts = append(j.hosts, h)
-					occupied[h] = true
-					grew = true
-				}
-			}
-			if len(j.hosts) == old {
+		grew := world > old
+		if grew {
+			free := freeHosts(j, world-old)
+			if len(free) == 0 {
 				digest("resize job=%s skipped (no free hosts for world %d)", j.spec.Name, world)
 				return
 			}
+			j.hosts = append(j.hosts, free...)
+		} else {
+			j.hosts = j.hosts[:world]
 		}
 		moved := old - len(j.hosts)
 		if moved < 0 {
@@ -514,6 +520,9 @@ func (Runner) Run(s Scenario) Result {
 				j := byName[adm.Job]
 				j.hosts = append([]string(nil), adm.Hosts...)
 				j.running = true
+				if j.run.AdmitSec < 0 {
+					j.run.AdmitSec = tick
+				}
 				res.Outcome.Admissions++
 				digest("admit job=%s gang=%d hosts=%v", adm.Job, j.spec.Gang, adm.Hosts)
 			}
@@ -545,7 +554,7 @@ func (Runner) Run(s Scenario) Result {
 				j.running = false
 				j.done = true
 				j.hosts = nil
-				j.finish = tick + 1
+				j.run.DoneSec = tick + 1
 				remaining--
 				digest("complete job=%s", j.spec.Name)
 			}
@@ -557,8 +566,8 @@ func (Runner) Run(s Scenario) Result {
 			continue
 		}
 		res.Outcome.JobsCompleted++
-		if j.finish > res.Outcome.MakespanSec {
-			res.Outcome.MakespanSec = j.finish
+		if j.run.DoneSec > res.Outcome.MakespanSec {
+			res.Outcome.MakespanSec = j.run.DoneSec
 		}
 	}
 	res.Outcome.Drained = res.Outcome.JobsCompleted == len(jobSet)

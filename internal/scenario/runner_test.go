@@ -63,6 +63,12 @@ func TestRunnerDrainsBenignScenario(t *testing.T) {
 	if res.Outcome.Admissions != 2 {
 		t.Fatalf("admissions = %d, want 2", res.Outcome.Admissions)
 	}
+	for i, want := range []JobRun{{Name: "a", AdmitSec: 0}, {Name: "b", AdmitSec: 10}} {
+		got := res.Jobs[i]
+		if got.Name != want.Name || got.AdmitSec != want.AdmitSec || got.DoneSec <= got.AdmitSec {
+			t.Fatalf("job %d = %+v, want %s admitted at %d s and completed after", i, got, want.Name, want.AdmitSec)
+		}
+	}
 }
 
 // TestRunnerCrashRevivesAndRequeues: a crash outage requeues the rigid job
