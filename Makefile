@@ -5,7 +5,8 @@
 # run of the simulation/experiment packages, 64-host scale, malleability
 # and fleet smokes, and the benchmark drift guard); `make bench`
 # regenerates BENCH_scale.json, BENCH_livemig.json, BENCH_malleable.json,
-# BENCH_multijob.json and BENCH_persist.json.
+# BENCH_multijob.json and BENCH_persist.json; `make loc` prints the Go
+# line counts (non-test and test) that simplifications report.
 
 GO ?= go
 
@@ -18,7 +19,7 @@ RACE_PKGS = ./internal/proto ./internal/monitor ./internal/registry \
             ./internal/events ./internal/livemig ./internal/malleable \
             ./internal/jobs ./internal/scenario ./internal/persist
 
-.PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench benchguard
+.PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench benchguard loc
 
 all: check
 
@@ -113,6 +114,14 @@ bench: build
 	      -benchtime 1000x -benchmem ./internal/persist ; \
 	  $(GO) test -run '^$$' -bench BenchmarkReplayBootstrap -benchtime 10x -benchmem ./internal/registry ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_persist.json
+
+# Go line counts of the runtime (internal/, cmd/, examples/; testdata/
+# excluded), split into non-test and _test.go files: the size measure each
+# simplification reports.
+LOC_DIRS = internal cmd examples
+loc:
+	@printf 'non-test %s\n' "$$(find $(LOC_DIRS) -path '*/testdata' -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'test     %s\n' "$$(find $(LOC_DIRS) -path '*/testdata' -prune -o -name '*_test.go' -exec cat {} + | wc -l)"
 
 # Drift guard: regenerate the benchmark reports and fail if any benchmark
 # regressed more than 3x against the committed ones — a coarse fence

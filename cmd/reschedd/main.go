@@ -26,7 +26,7 @@
 // Either role serves observability endpoints when -metrics is set:
 //
 //	reschedd -role registry -listen :7070 -metrics :8081
-//	curl localhost:8081/metrics          # Prometheus text exposition
+//	curl localhost:8081/metrics          # Prometheus text: *_total counters, gauges, histograms
 //	go tool pprof localhost:8081/debug/pprof/profile
 package main
 
@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/monitor"
 	"autoresched/internal/persist"
@@ -122,9 +123,9 @@ func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *m
 		registry.WithName("registry"),
 		registry.WithPolicy(policy),
 		registry.WithMetrics(mreg),
-		registry.WithOnEvent(func(e registry.Event) {
+		registry.WithEvents(events.SinkFunc(func(e events.Event) {
 			log.Printf("decision: %s", e)
-		}),
+		})),
 	}
 	if storeDir != "" {
 		store, err := persist.OpenFileStore(storeDir, persist.FileConfig{})

@@ -5,8 +5,8 @@ import (
 )
 
 // checkNilReceiver enforces the documented contract of the metrics
-// package: components hold optional *Histogram/*Gauge/*Counters/... and
-// call them unconditionally, so every exported method with a pointer
+// package: components hold an optional *Registry and call the
+// *Counter/*Gauge/*Histogram it hands out unconditionally, so every exported method with a pointer
 // receiver on an exported type must begin with a nil-receiver guard
 //
 //	if x == nil { ... }

@@ -11,11 +11,11 @@ import (
 
 func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	ctr := metrics.NewCounters()
+	reg := metrics.NewRegistry()
 	c := newFromConfig("ws1", "", Config{
 		Clock:       clock,
 		DedupWindow: 30 * time.Second,
-		Counters:    ctr,
+		Metrics:     reg,
 	})
 	p := &fakeProc{pid: 42}
 	c.Manage(p)
@@ -34,8 +34,8 @@ func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	if c.Orders() != 1 || c.Deduped() != 1 {
 		t.Fatalf("orders=%d deduped=%d", c.Orders(), c.Deduped())
 	}
-	if ctr.Get(metrics.CtrOrdersDeduped) != 1 {
-		t.Fatalf("counter = %d", ctr.Get(metrics.CtrOrdersDeduped))
+	if got := reg.Counter(metrics.CtrOrdersDeduped).Value(); got != 1 {
+		t.Fatalf("counter = %d", got)
 	}
 	// A different destination is a new decision, not a duplicate.
 	if err := c.Migrate(proto.MigrateOrder{PID: 42, DestHost: "ws5", DestAddr: "cmd://ws5"}); err != nil {

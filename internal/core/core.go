@@ -39,8 +39,6 @@ type Options struct {
 	// Policy drives migration decisions; nil selects the state-based
 	// default (migrate off Overloaded hosts onto Free ones).
 	Policy *rules.MigrationPolicy
-	// EngineFor builds each host's rule engine; nil selects DefaultEngine.
-	EngineFor func(host string) *rules.Engine
 	// MonitorInterval is the default monitoring frequency; zero selects
 	// 10 s (the paper's sampling interval).
 	MonitorInterval time.Duration
@@ -53,8 +51,6 @@ type Options struct {
 	// Warmup and Cooldown damp the scheduler (see registry.Config).
 	Warmup   int
 	Cooldown time.Duration
-	// Lease is the soft-state lifetime.
-	Lease time.Duration
 	// SpawnLatency models LAM/MPI's slow dynamic process creation; zero
 	// selects 300 ms (Section 5.2).
 	SpawnLatency time.Duration
@@ -79,12 +75,10 @@ type Options struct {
 	BatchStatusEvery time.Duration
 	// RegistryHost, when set, names the host the registry/scheduler runs
 	// on; status refreshes from other hosts are then charged to the
-	// network as StatusBytes-sized transfers, making the rescheduler's
-	// control traffic visible in the NIC counters (Figure 6).
+	// network as 600-byte transfers (a typical XML status message), making
+	// the rescheduler's control traffic visible in the NIC counters
+	// (Figure 6).
 	RegistryHost string
-	// StatusBytes is the wire size of one status refresh; zero selects
-	// 600 bytes (a typical XML status message).
-	StatusBytes int64
 	// Checkpoints enables the checkpointing extension (see internal/hpcm):
 	// applications periodically persist their state and can be recovered
 	// on another host after a crash — the paper's fault-tolerance
@@ -111,9 +105,6 @@ type Options struct {
 	// snapshot every N appended records (requires Store); zero disables
 	// periodic compaction.
 	SnapshotEvery int
-	// Counters, when set, receives control-plane counters from every layer
-	// of the runtime.
-	Counters *metrics.Counters
 	// Observer, when set, receives migration phase events (after the
 	// runtime's own counting observer).
 	Observer hpcm.MigrationObserver
@@ -123,12 +114,12 @@ type Options struct {
 	// the same sink to the fault injector to fold its events (Source
 	// "faults") in too.
 	Events events.Sink
-	// Metrics, when set, receives the runtime's gauges and latency
-	// histograms from every layer: the registry's hosts gauge and decide
-	// timings, monitor cycle durations, hpcm migration/downtime/checkpoint
-	// histograms, and the per-migration phase spans (span/*) derived from
-	// the event stream by a metrics.Spans sink the runtime installs
-	// alongside Events.
+	// Metrics, when set, receives the runtime's metrics from every layer:
+	// the control-plane counters (metrics.Ctr*), the registry's hosts gauge
+	// and decide timings, monitor cycle durations, hpcm
+	// migration/downtime/checkpoint histograms, and the per-migration phase
+	// spans (span/*) derived from the event stream by a metrics.Spans sink
+	// the runtime installs alongside Events.
 	Metrics *metrics.Registry
 	// WrapReporter, when set, wraps each node's status reporter. The fault
 	// injector uses this to drop, duplicate or delay heartbeats on the
@@ -296,9 +287,6 @@ func New(opts Options) (*System, error) {
 	// latency histograms from the same stream.
 	sink := opts.Events
 	if opts.Metrics != nil {
-		if opts.Counters != nil {
-			opts.Metrics.AttachCounters(opts.Counters)
-		}
 		sink = events.Multi(sink, metrics.NewSpans(opts.Metrics))
 	}
 	s.events = sink
@@ -310,9 +298,9 @@ func New(opts Options) (*System, error) {
 	observer := func(ev hpcm.MigrationEvent) {
 		switch ev.Phase {
 		case hpcm.PhaseResume:
-			opts.Counters.Inc(metrics.CtrMigrCommitted)
+			opts.Metrics.Counter(metrics.CtrMigrCommitted).Inc()
 		case hpcm.PhaseAborted:
-			opts.Counters.Inc(metrics.CtrMigrAborted)
+			opts.Metrics.Counter(metrics.CtrMigrAborted).Inc()
 		default:
 			// Intermediate phases (start/init/precopy/freeze/restore) and
 			// failures are span material, not commit/abort outcomes.
@@ -338,7 +326,6 @@ func New(opts Options) (*System, error) {
 	s.mw = mw
 	s.reg = registry.NewRegistry(
 		registry.WithClock(clock),
-		registry.WithLease(opts.Lease),
 		registry.WithPolicy(opts.Policy),
 		registry.WithCommands(s),
 		registry.WithScheduler(opts.Scheduler),
@@ -346,9 +333,7 @@ func New(opts Options) (*System, error) {
 		registry.WithCooldown(opts.Cooldown),
 		registry.WithParent(opts.Parent),
 		registry.WithDomain(opts.Domain),
-		registry.WithCounters(opts.Counters),
-		registry.WithOnEvent(s.onRegistryEvent),
-		registry.WithEvents(sink),
+		registry.WithEvents(events.Multi(sink, events.On(s.onRegistryRestart))),
 		registry.WithMetrics(opts.Metrics),
 		registry.WithStore(opts.Store),
 		registry.WithSnapshotEvery(opts.SnapshotEvery),
@@ -357,20 +342,19 @@ func New(opts Options) (*System, error) {
 		s.batcher = registry.NewBatcher(s.reg, registry.BatcherConfig{
 			Clock:      clock,
 			FlushEvery: opts.BatchStatusEvery,
-			Counters:   opts.Counters,
 		})
 	}
 	return s, nil
 }
 
-// onRegistryEvent reacts to registry trace events: a restart means the
-// registry lost its soft state, so the runtime resyncs its live process
-// registrations once the monitors' heartbeats have re-registered the hosts.
-// With a durable store the restart is a crash-consistent recovery — process
-// registrations come back from the change log — so no resync is needed (the
-// zero-re-registration property the chaos suite counter-asserts).
-func (s *System) onRegistryEvent(e registry.Event) {
-	if e.Kind == registry.EventRestart && s.opts.Store == nil {
+// onRegistryRestart reacts to a registry restart: the registry lost its soft
+// state, so the runtime resyncs its live process registrations once the
+// monitors' heartbeats have re-registered the hosts. With a durable store the
+// restart is a crash-consistent recovery — process registrations come back
+// from the change log — so no resync is needed (the zero-re-registration
+// property the chaos suite counter-asserts).
+func (s *System) onRegistryRestart(registry.RestartEvent) {
+	if s.opts.Store == nil {
 		go s.resyncProcs()
 	}
 }
@@ -422,15 +406,11 @@ func (s *System) AddNode(host string) (*Node, error) {
 	s.mu.Unlock()
 
 	source, _ := s.cluster.Source(host)
-	engine := DefaultEngine()
-	if s.opts.EngineFor != nil {
-		engine = s.opts.EngineFor(host)
-	}
 	cmd := commander.NewCommander(host,
 		commander.WithDir(s.opts.CommandDir),
 		commander.WithClock(s.clock),
 		commander.WithDedupWindow(s.opts.OrderDedupWindow),
-		commander.WithCounters(s.opts.Counters),
+		commander.WithMetrics(s.opts.Metrics),
 		commander.WithEvents(s.events),
 	)
 
@@ -447,29 +427,23 @@ func (s *System) AddNode(host string) (*Node, error) {
 		reporter = s.batcher
 	}
 	if s.opts.RegistryHost != "" && host != s.opts.RegistryHost {
-		bytes := s.opts.StatusBytes
-		if bytes <= 0 {
-			bytes = 600
-		}
 		reporter = &chargedReporter{
 			inner: reporter,
 			net:   s.cluster.Net(),
 			to:    s.opts.RegistryHost,
-			bytes: bytes,
 		}
 	}
 	if s.opts.WrapReporter != nil {
 		reporter = s.opts.WrapReporter(host, reporter)
 	}
 	monOpts := []monitor.Option{
-		monitor.WithEngine(engine),
+		monitor.WithEngine(DefaultEngine()),
 		monitor.WithReporter(reporter),
 		monitor.WithClock(s.clock),
 		monitor.WithFrequencies(s.opts.Frequencies),
 		monitor.WithDefaultFrequency(s.opts.MonitorInterval),
 		monitor.WithCommandAddr("cmd://" + host),
 		monitor.WithSoftware([]string{"hpcm", "lam-mpi"}),
-		monitor.WithCounters(s.opts.Counters),
 		monitor.WithMetrics(s.opts.Metrics),
 	}
 	if charger != nil {

@@ -86,7 +86,7 @@ func (s *System) failover(app *App, cause error) bool {
 		restored, err := s.mw.Restore(s.opts.Checkpoints, name, cand.Host, app.main)
 		if err == nil {
 			p = restored
-			s.opts.Counters.Inc(metrics.CtrCkptRestores)
+			s.opts.Metrics.Counter(metrics.CtrCkptRestores).Inc()
 		}
 	}
 	if p == nil {
@@ -97,7 +97,7 @@ func (s *System) failover(app *App, cause error) bool {
 			return false
 		}
 		p = started
-		s.opts.Counters.Inc(metrics.CtrColdRestarts)
+		s.opts.Metrics.Counter(metrics.CtrColdRestarts).Inc()
 	}
 
 	app.mu.Lock()
@@ -137,7 +137,7 @@ func (s *System) resyncProcs() {
 				still = append(still, app)
 				continue
 			}
-			s.opts.Counters.Inc(metrics.CtrProcResyncs)
+			s.opts.Metrics.Counter(metrics.CtrProcResyncs).Inc()
 		}
 		pending = still
 	}

@@ -6,6 +6,10 @@ import (
 	"autoresched/internal/simnet"
 )
 
+// statusBytes is the wire size charged for one status refresh: a typical
+// XML status message.
+const statusBytes = 600
+
 // chargedReporter forwards monitor traffic toward the in-process registry
 // (directly, or through the status batcher) while charging each message to
 // the simulated network, so the rescheduler's control traffic appears in
@@ -14,12 +18,11 @@ type chargedReporter struct {
 	inner monitor.Reporter
 	net   *simnet.Network
 	to    string
-	bytes int64
 }
 
 func (c *chargedReporter) charge(from string) {
 	// Best effort: a down registry host fails registration paths already.
-	_ = c.net.Transfer(from, c.to, c.bytes)
+	_ = c.net.Transfer(from, c.to, statusBytes)
 }
 
 func (c *chargedReporter) RegisterHost(host string, static proto.StaticInfo) error {

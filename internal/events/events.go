@@ -2,9 +2,9 @@
 // decision trace, the migration middleware's phase observer and the fault
 // injector's applied/triggered log each grew their own callback shape; a
 // Sink receives all of them as one normalised stream, wired once through
-// core.Options.Events. The original surfaces (registry.Config.OnEvent,
-// hpcm.MigrationObserver, faults.Injector.Applied) keep working — they are
-// thin adapters over, or alongside, the sink.
+// core.Options.Events. The registry publishes only here; the remaining
+// older surfaces (hpcm.MigrationObserver, faults.Injector.Applied) keep
+// working alongside the sink.
 package events
 
 import (

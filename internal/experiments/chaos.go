@@ -281,9 +281,8 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		return ChaosRow{}, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
-	in := faults.NewInjector(faults.Config{Clock: clock, Counters: ctr})
+	in := faults.NewInjector(faults.Config{Clock: clock, Metrics: mreg})
 	sys, err := core.New(core.Options{
 		Cluster:          cl,
 		MonitorInterval:  cfg.Interval,
@@ -296,7 +295,6 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		CheckpointEvery:  30 * time.Second,
 		FailoverRetries:  2,
 		OrderDedupWindow: 30 * time.Second,
-		Counters:         ctr,
 		Metrics:          mreg,
 		Observer:         in.Observer(),
 		WrapReporter:     in.WrapReporter,
@@ -376,7 +374,7 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		row.FinalErr = err.Error()
 	}
 	for _, name := range chaosCounterNames {
-		row.Counters[name] = ctr.Get(name)
+		row.Counters[name] = mreg.Counter(name).Value()
 	}
 	row.Spans = mreg.SpanStats("span/")
 	cfg.Metrics.Merge(mreg)

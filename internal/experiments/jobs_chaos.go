@@ -76,7 +76,6 @@ func runJobsChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		return ChaosRow{}, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
 
 	// The system pointer is published after New; the trap only fires from
@@ -134,7 +133,6 @@ func runJobsChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		RegistryHost:    names[2],
 		ChunkBytes:      8 << 20,
 		Checkpoints:     hpcm.NewMemStore(),
-		Counters:        ctr,
 		Metrics:         mreg,
 		Events:          sink,
 		JobPolicy:       jobs.PriorityPreemptive{},
@@ -261,7 +259,7 @@ func runJobsChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 	}
 	row.FinalErr = strings.Join(errs, "; ")
 	for _, name := range chaosCounterNames {
-		row.Counters[name] = ctr.Get(name)
+		row.Counters[name] = mreg.Counter(name).Value()
 	}
 	row.Spans = mreg.SpanStats("span/")
 	cfg.Metrics.Merge(mreg)

@@ -109,7 +109,6 @@ func runMalleableArm(cfg MalleableConfig, arm string, advisor *registry.ElasticA
 		return MalleableRow{}, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
 	// Few, heavy steps: per-step compute (5.76 virtual seconds at the
 	// initial world) dominates the per-step scheduling-jitter floor, so the
@@ -148,7 +147,6 @@ func runMalleableArm(cfg MalleableConfig, arm string, advisor *registry.ElasticA
 		InitialHosts: names[:4],
 		Observer:     observer,
 		Metrics:      mreg,
-		Counters:     ctr,
 	})
 	if err != nil {
 		return MalleableRow{}, err
@@ -268,7 +266,7 @@ func runMalleableArm(cfg MalleableConfig, arm string, advisor *registry.ElasticA
 		row.FinalErr = werr.Error()
 	}
 	for _, name := range malleableCounterNames {
-		row.Counters[name] = ctr.Get(name)
+		row.Counters[name] = mreg.Counter(name).Value()
 	}
 	cfg.Metrics.Merge(mreg)
 	if werr == nil {

@@ -26,7 +26,6 @@ func runMalleableChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, err
 		return ChaosRow{}, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
 	app := &workload.ElasticJacobi{N: 24, Iters: 60, WorkPerCell: 35000}
 
@@ -90,7 +89,6 @@ func runMalleableChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, err
 		InitialHosts: names[:4],
 		Observer:     observer,
 		Metrics:      mreg,
-		Counters:     ctr,
 	})
 	if err != nil {
 		return ChaosRow{}, err
@@ -161,7 +159,7 @@ func runMalleableChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, err
 		row.FinalErr = werr.Error()
 	}
 	for _, name := range chaosCounterNames {
-		row.Counters[name] = ctr.Get(name)
+		row.Counters[name] = mreg.Counter(name).Value()
 	}
 	row.Spans = mreg.SpanStats("malleable/")
 	cfg.Metrics.Merge(mreg)

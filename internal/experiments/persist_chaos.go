@@ -23,7 +23,6 @@ import (
 type persistChaosRun struct {
 	sys    *core.System
 	store  *persist.MemStore
-	ctr    *metrics.Counters
 	mreg   *metrics.Registry
 	in     *faults.Injector
 	app    *core.App
@@ -45,7 +44,6 @@ func newPersistChaosRun(cfg ChaosConfig) (*persistChaosRun, error) {
 		return nil, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
 	store := persist.NewMemStore()
 
@@ -61,7 +59,7 @@ func newPersistChaosRun(cfg ChaosConfig) (*persistChaosRun, error) {
 		mu.Unlock()
 	})
 
-	in := faults.NewInjector(faults.Config{Clock: clock, Counters: ctr})
+	in := faults.NewInjector(faults.Config{Clock: clock, Metrics: mreg})
 	sys, err := core.New(core.Options{
 		Cluster:          cl,
 		MonitorInterval:  cfg.Interval,
@@ -74,7 +72,6 @@ func newPersistChaosRun(cfg ChaosConfig) (*persistChaosRun, error) {
 		CheckpointEvery:  30 * time.Second,
 		FailoverRetries:  2,
 		OrderDedupWindow: 30 * time.Second,
-		Counters:         ctr,
 		Metrics:          mreg,
 		Events:           sink,
 		Observer:         in.Observer(),
@@ -111,7 +108,7 @@ func newPersistChaosRun(cfg ChaosConfig) (*persistChaosRun, error) {
 	}
 	in.BindApp(chaosApp, app)
 	return &persistChaosRun{
-		sys: sys, store: store, ctr: ctr, mreg: mreg, in: in, app: app,
+		sys: sys, store: store, mreg: mreg, in: in, app: app,
 		tree: tree, sums: sums, mu: &mu, checks: &checks, start: clock.Now(),
 	}, nil
 }
@@ -171,7 +168,7 @@ func (p *persistChaosRun) row(cfg ChaosConfig, sc chaosScenario, completed bool,
 		row.FinalErr = err.Error()
 	}
 	for _, name := range chaosCounterNames {
-		row.Counters[name] = p.ctr.Get(name)
+		row.Counters[name] = p.mreg.Counter(name).Value()
 	}
 	row.Spans = p.mreg.SpanStats("span/")
 	cfg.Metrics.Merge(p.mreg)
@@ -207,7 +204,7 @@ func runPersistCrashloopScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, e
 	// the monitors, so the log is final and the comparison race-free.
 	p.sys.Stop()
 	p.check("reregisters=%d proc-resyncs=%d",
-		p.ctr.Get(metrics.CtrReregisters), p.ctr.Get(metrics.CtrProcResyncs))
+		p.mreg.Counter(metrics.CtrReregisters).Value(), p.mreg.Counter(metrics.CtrProcResyncs).Value())
 	replica, err := registry.NewStandby(p.store)
 	if err != nil {
 		return ChaosRow{}, err
@@ -236,7 +233,7 @@ func runPersistStandbyScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, err
 	// The standby shares the cluster's virtual clock: its lease-expiry view
 	// of the replayed LastSeen stamps must match the primary's.
 	standby, err := registry.NewStandby(p.store,
-		registry.WithClock(clock), registry.WithCounters(p.ctr))
+		registry.WithClock(clock), registry.WithMetrics(p.mreg))
 	if err != nil {
 		return ChaosRow{}, err
 	}
@@ -291,7 +288,7 @@ func runPersistStandbyScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, err
 	completed := p.await()
 	p.in.Stop()
 	p.check("reregisters=%d proc-resyncs=%d",
-		p.ctr.Get(metrics.CtrReregisters), p.ctr.Get(metrics.CtrProcResyncs))
+		p.mreg.Counter(metrics.CtrReregisters).Value(), p.mreg.Counter(metrics.CtrProcResyncs).Value())
 	mu.Lock()
 	extra := append([]string(nil), applied...)
 	mu.Unlock()

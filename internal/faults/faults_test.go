@@ -64,8 +64,8 @@ func (c *countingReporter) count() int {
 }
 
 func TestStatusTapDropsDuplicatesAndConsumes(t *testing.T) {
-	ctr := metrics.NewCounters()
-	in := NewInjector(Config{Clock: vclock.Real(), Counters: ctr})
+	reg := metrics.NewRegistry()
+	in := NewInjector(Config{Clock: vclock.Real(), Metrics: reg})
 	inner := &countingReporter{}
 	tapped := in.WrapReporter("ws1", inner)
 
@@ -82,13 +82,13 @@ func TestStatusTapDropsDuplicatesAndConsumes(t *testing.T) {
 	if got := inner.count(); got != 4 { // 0+0+2+1+1
 		t.Fatalf("delivered statuses = %d, want 4", got)
 	}
-	if d := ctr.Get(metrics.CtrStatusDropped); d != 2 {
+	if d := reg.Counter(metrics.CtrStatusDropped).Value(); d != 2 {
 		t.Fatalf("dropped = %d, want 2", d)
 	}
-	if d := ctr.Get(metrics.CtrStatusDuplicated); d != 1 {
+	if d := reg.Counter(metrics.CtrStatusDuplicated).Value(); d != 1 {
 		t.Fatalf("duplicated = %d, want 1", d)
 	}
-	if d := ctr.Get(metrics.CtrStatusDelayed); d != 1 {
+	if d := reg.Counter(metrics.CtrStatusDelayed).Value(); d != 1 {
 		t.Fatalf("delayed = %d, want 1", d)
 	}
 	// A tap on a different host is untouched.
@@ -129,11 +129,11 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr := metrics.NewCounters()
-	in := NewInjector(Config{Clock: clock, Counters: ctr})
+	reg := metrics.NewRegistry()
+	in := NewInjector(Config{Clock: clock, Metrics: reg})
 	sys, err := core.New(core.Options{
 		Cluster:      cl,
-		Counters:     ctr,
+		Metrics:      reg,
 		WrapReporter: in.WrapReporter,
 		Observer:     in.Observer(),
 	})
@@ -168,7 +168,7 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 	if !cl.Net().Partitioned("ws1", "ws3") {
 		t.Fatal("partition not applied")
 	}
-	if ctr.Get(metrics.CtrRegistryRestarts) != 1 {
-		t.Fatalf("registry restarts = %d, want 1", ctr.Get(metrics.CtrRegistryRestarts))
+	if reg.Counter(metrics.CtrRegistryRestarts).Value() != 1 {
+		t.Fatalf("registry restarts = %d, want 1", reg.Counter(metrics.CtrRegistryRestarts).Value())
 	}
 }

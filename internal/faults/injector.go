@@ -19,8 +19,10 @@ import (
 // Bind (after core.New, since the system itself needs the injector's
 // reporter wrapper and migration observer at construction time).
 type Config struct {
-	Clock    vclock.Clock
-	Counters *metrics.Counters
+	Clock vclock.Clock
+	// Metrics, when set, counts the status-tap drops, duplicates and
+	// delays (monitor/status_*).
+	Metrics *metrics.Registry
 	// Events, when set, receives every applied fault and fired trap on the
 	// unified runtime sink (Source "faults") — pass the same sink as
 	// core.Options.Events to see faults interleaved with the decisions and
@@ -33,7 +35,7 @@ type Config struct {
 // Construction order matters because the injector and the system reference
 // each other:
 //
-//	in := faults.NewInjector(faults.Config{Clock: clock, Counters: ctr})
+//	in := faults.NewInjector(faults.Config{Clock: clock, Metrics: reg})
 //	sys, _ := core.New(core.Options{
 //		WrapReporter: in.WrapReporter,
 //		Observer:     in.Observer(),
@@ -388,15 +390,15 @@ func (t *tap) RegisterHost(host string, static proto.StaticInfo) error {
 func (t *tap) ReportStatus(host string, status proto.Status) error {
 	switch act, d := t.in.takeStatus(t.host); act {
 	case tapDrop:
-		t.in.cfg.Counters.Inc(metrics.CtrStatusDropped)
+		t.in.cfg.Metrics.Counter(metrics.CtrStatusDropped).Inc()
 		return nil // swallowed; the lease absorbs a bounded gap
 	case tapDup:
-		t.in.cfg.Counters.Inc(metrics.CtrStatusDuplicated)
+		t.in.cfg.Metrics.Counter(metrics.CtrStatusDuplicated).Inc()
 		if err := t.inner.ReportStatus(host, status); err != nil {
 			return err
 		}
 	case tapDelay:
-		t.in.cfg.Counters.Inc(metrics.CtrStatusDelayed)
+		t.in.cfg.Metrics.Counter(metrics.CtrStatusDelayed).Inc()
 		t.in.cfg.Clock.Sleep(d)
 	case tapPass:
 		// No fault armed: the report falls through untouched.

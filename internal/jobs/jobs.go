@@ -194,21 +194,6 @@ func (j *Job) WaitTime() time.Duration {
 	return j.waited
 }
 
-// View snapshots the job for the planner.
-func (j *Job) View() JobView {
-	j.q.mu.Lock()
-	defer j.q.mu.Unlock()
-	return JobView{
-		Name:     j.spec.Name,
-		Priority: j.spec.Priority,
-		Gang:     j.spec.Gang,
-		Elastic:  j.spec.Elastic,
-		MinWorld: j.spec.MinWorld,
-		Seq:      j.seq,
-		Hosts:    append([]string(nil), j.placement...),
-	}
-}
-
 // ErrCancelled is the terminal error of a cancelled job.
 var ErrCancelled = errors.New("jobs: job cancelled")
 

@@ -143,11 +143,9 @@ type Options struct {
 	// (Source "malleable", Kind = phase, Payload = the Event). Delivery is
 	// synchronous, same as Observer.
 	Events events.Sink
-	// Metrics records the malleable/* histograms; nil disables.
+	// Metrics records the malleable/* histograms and tallies
+	// committed/aborted resizes and spawned/retired ranks; nil disables.
 	Metrics *metrics.Registry
-	// Counters tallies committed/aborted resizes and spawned/retired
-	// ranks; nil disables.
-	Counters *metrics.Counters
 	// DrainPoll paces the liveness-aware receive loop of the drain phase;
 	// zero selects 1 ms of virtual time.
 	DrainPoll time.Duration
@@ -227,7 +225,6 @@ type Job struct {
 	observer ResizeObserver
 	events   events.Sink
 	metrics  *metrics.Registry
-	counters *metrics.Counters
 	poll     time.Duration
 
 	mu              sync.Mutex
@@ -290,7 +287,6 @@ func Start(opts Options) (*Job, error) {
 		observer:  opts.Observer,
 		events:    opts.Events,
 		metrics:   opts.Metrics,
-		counters:  opts.Counters,
 		poll:      opts.DrainPoll,
 		placement: append([]string(nil), opts.InitialHosts...),
 		dead:      make(map[string]bool),

@@ -68,11 +68,10 @@ type Config struct {
 	CommandAddr string
 	// Software lists locally installed packages for requirement matching.
 	Software []string
-	// Counters, when set, receives the monitor/* control-plane counters.
-	Counters *metrics.Counters
-	// Metrics, when set, receives the monitor's latency histograms
-	// (monitor/cycle_seconds, virtual-clock duration of one
-	// gather-evaluate-report cycle). Nil disables.
+	// Metrics, when set, receives the monitor/* control-plane counters and
+	// the monitor's latency histograms (monitor/cycle_seconds,
+	// virtual-clock duration of one gather-evaluate-report cycle). Nil
+	// disables.
 	Metrics *metrics.Registry
 }
 
@@ -257,7 +256,7 @@ func (m *Monitor) Cycle() (Sample, error) {
 			// soft-state registration makes this survivable): re-register
 			// the host and retry the refresh once.
 			if rerr := m.register(); rerr == nil {
-				m.cfg.Counters.Inc(metrics.CtrReregisters)
+				m.cfg.Metrics.Counter(metrics.CtrReregisters).Inc()
 				err = m.cfg.Reporter.ReportStatus(m.cfg.Host, status)
 			}
 		}

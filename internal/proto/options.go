@@ -40,10 +40,9 @@ type Options struct {
 	// of re-invoking the handler. Zero disables (deduplication assumes
 	// client names are unique, which not every deployment guarantees).
 	DedupWindow int
-	// Counters, when set, receives the proto/* control-plane counters.
-	Counters *metrics.Counters
-	// Metrics, when set, receives the proto/call_seconds histogram: the
-	// wall-clock duration of each Call, retries and backoff included.
+	// Metrics, when set, receives the proto/* control-plane counters and
+	// the proto/call_seconds histogram: the wall-clock duration of each
+	// Call, retries and backoff included.
 	Metrics *metrics.Registry
 	// Injector, when set, intercepts outbound messages (drop, duplicate,
 	// delay) — the proto-level fault hook the chaos engine drives.

@@ -52,8 +52,6 @@ type BatcherConfig struct {
 	// MaxPending flushes when this many hosts have buffered reports;
 	// zero selects 64.
 	MaxPending int
-	// Counters, when set, receives the registry/batch_* counters.
-	Counters *metrics.Counters
 }
 
 // Batcher coalesces per-host status reports into ReportStatusBatch calls.
@@ -75,7 +73,8 @@ type Batcher struct {
 	lastFlush time.Time
 }
 
-// NewBatcher creates a Batcher in front of reg.
+// NewBatcher creates a Batcher in front of reg. Its registry/batch_*
+// counters go to reg's Metrics.
 func NewBatcher(reg *Registry, cfg BatcherConfig) *Batcher {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real()
@@ -162,8 +161,9 @@ func (b *Batcher) Flush() error {
 	if len(batch) == 0 {
 		return nil
 	}
-	b.cfg.Counters.Inc(metrics.CtrBatchFlushes)
-	b.cfg.Counters.Add(metrics.CtrBatchedReports, int64(len(batch)))
+	m := b.reg.cfg.Metrics
+	m.Counter(metrics.CtrBatchFlushes).Inc()
+	m.Counter(metrics.CtrBatchedReports).Add(int64(len(batch)))
 	if err := b.reg.ReportStatusBatch(batch); err != nil {
 		return b.recover(batch)
 	}
@@ -189,7 +189,7 @@ func (b *Batcher) recover(batch []proto.HostStatus) error {
 			errs = append(errs, err)
 			continue
 		}
-		b.cfg.Counters.Inc(metrics.CtrReregisters)
+		b.reg.cfg.Metrics.Counter(metrics.CtrReregisters).Inc()
 		if err := b.reg.ReportStatus(rep.Host, rep.Status); err != nil {
 			errs = append(errs, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 	"autoresched/internal/rules"
-	"autoresched/internal/sysinfo"
 	"autoresched/internal/vclock"
 )
 
@@ -38,9 +37,6 @@ func WithLease(d time.Duration) Option { return func(c *Config) { c.Lease = d } 
 // WithPolicy sets the migration policy.
 func WithPolicy(p *rules.MigrationPolicy) Option { return func(c *Config) { c.Policy = p } }
 
-// WithProbes sets the probe set policies evaluate against.
-func WithProbes(p *sysinfo.Probes) Option { return func(c *Config) { c.Probes = p } }
-
 // WithCommands sets the migrate-order sink, making the registry active.
 func WithCommands(s CommandSink) Option { return func(c *Config) { c.Commands = s } }
 
@@ -54,32 +50,17 @@ func WithParent(p *Registry) Option { return func(c *Config) { c.Parent = p } }
 // enables the upward health reports.
 func WithDomain(name string) Option { return func(c *Config) { c.Domain = name } }
 
-// WithDomainLease sets how long child domains stay live without a health
-// report.
-func WithDomainLease(d time.Duration) Option { return func(c *Config) { c.DomainLease = d } }
-
-// WithHealthReportEvery caps how often health is pushed to the parent.
-func WithHealthReportEvery(d time.Duration) Option {
-	return func(c *Config) { c.HealthReportEvery = d }
-}
-
 // WithWarmup sets the warm-up damping window.
 func WithWarmup(n int) Option { return func(c *Config) { c.Warmup = n } }
 
 // WithCooldown sets the per-host cooldown between migrate orders.
 func WithCooldown(d time.Duration) Option { return func(c *Config) { c.Cooldown = d } }
 
-// WithOnEvent sets the per-event trace observer.
-func WithOnEvent(fn func(Event)) Option { return func(c *Config) { c.OnEvent = fn } }
-
 // WithEvents sets the unified runtime event sink.
 func WithEvents(s events.Sink) Option { return func(c *Config) { c.Events = s } }
 
-// WithCounters sets the control-plane counter set.
-func WithCounters(m *metrics.Counters) Option { return func(c *Config) { c.Counters = m } }
-
-// WithMetrics sets the metrics registry receiving the registry's gauges
-// and latency histograms.
+// WithMetrics sets the metrics registry receiving the registry's counters,
+// gauges and latency histograms.
 func WithMetrics(m *metrics.Registry) Option { return func(c *Config) { c.Metrics = m } }
 
 // WithStore makes the protocol state durable through a write-ahead store:

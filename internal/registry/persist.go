@@ -153,7 +153,7 @@ func (r *Registry) appendLocked(kind string, v any) error {
 		return fmt.Errorf("registry: append %s record: %w", kind, err)
 	}
 	r.lastApplied = seq
-	r.cfg.Counters.Inc(metrics.CtrPersistAppends)
+	r.cfg.Metrics.Counter(metrics.CtrPersistAppends).Inc()
 	return nil
 }
 
@@ -169,7 +169,7 @@ func (r *Registry) snapshotLocked(seq uint64) {
 		return
 	}
 	r.lastSnap = seq
-	r.cfg.Counters.Inc(metrics.CtrPersistSnapshots)
+	r.cfg.Metrics.Counter(metrics.CtrPersistSnapshots).Inc()
 }
 
 // encodeStateLocked renders the protocol state as the canonical snapshot

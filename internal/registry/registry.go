@@ -45,15 +45,14 @@ type Config struct {
 	Name string
 	// Clock drives lease expiry; nil selects the real clock.
 	Clock vclock.Clock
-	// Lease is how long a host stays alive without a refresh; zero selects
-	// 35 seconds (a few missed 10-second refreshes).
+	// Lease is how long a host — or, at a parent, a child domain — stays
+	// alive without a refresh; zero selects 35 seconds (a few missed
+	// 10-second refreshes).
 	Lease time.Duration
 	// Policy decides when to migrate and which destinations qualify. Nil
 	// selects the pure state-based policy: migrate off overloaded hosts,
 	// onto free hosts (Table 1 semantics).
 	Policy *rules.MigrationPolicy
-	// Probes evaluates policy conditions; nil selects the standard set.
-	Probes *sysinfo.Probes
 	// Commands receives migrate orders; nil leaves the registry passive
 	// (candidates are still served on request).
 	Commands CommandSink
@@ -66,16 +65,10 @@ type Config struct {
 	Parent *Registry
 	// Domain names this registry's control domain under Parent. When set,
 	// the registry reports its Health upward on a lease (piggybacked on
-	// status refreshes, at most once per HealthReportEvery), and the parent
-	// delegates placements across its live domains before consulting its
-	// own parent.
+	// status refreshes, at most once per healthReportEvery), and the
+	// parent delegates placements across its live domains before
+	// consulting its own parent.
 	Domain string
-	// DomainLease is how long a child domain stays live at this registry
-	// without a health report; zero selects Lease.
-	DomainLease time.Duration
-	// HealthReportEvery caps how often this registry pushes Health to its
-	// Parent; zero selects 10 seconds (the monitor's refresh cadence).
-	HealthReportEvery time.Duration
 	// Warmup is how many consecutive qualifying reports a host must send
 	// before the scheduler acts — the configurable damping that gave the
 	// paper its 72-second reaction and avoided "fault migration caused by
@@ -84,14 +77,10 @@ type Config struct {
 	// Cooldown is the minimum gap between migrate orders concerning the
 	// same source host; zero selects 60 seconds.
 	Cooldown time.Duration
-	// OnEvent, if set, observes every scheduling-decision event as it
-	// happens (the trace is also kept in a ring buffer; see Trace).
-	OnEvent func(Event)
-	// Events, if set, additionally receives every trace event on the
-	// unified runtime sink (Source "registry").
+	// Events, if set, observes every scheduling-decision event as it
+	// happens on the unified runtime sink (Source "registry"); the trace is
+	// also kept in a ring buffer (see Trace).
 	Events events.Sink
-	// Counters, when set, receives the registry/* control-plane counters.
-	Counters *metrics.Counters
 	// Store, when set, makes the protocol state durable: every mutation
 	// appends a typed change record to this write-ahead store, and Restart
 	// becomes crash-consistent bootstrap (snapshot + log suffix replay,
@@ -102,8 +91,9 @@ type Config struct {
 	// store snapshot every N appended records; zero disables periodic
 	// snapshots (the log then grows until someone snapshots explicitly).
 	SnapshotEvery int
-	// Metrics, when set, receives the registry's gauges and latency
-	// histograms (registry/hosts, registry/decide_seconds). Nil disables.
+	// Metrics, when set, receives the registry's control-plane counters
+	// (registry/*, persist/*, and the Batcher's registry/batch_*), its
+	// hosts gauge and its registry/decide_seconds histogram. Nil disables.
 	Metrics *metrics.Registry
 }
 
@@ -214,15 +204,6 @@ func newFromConfig(cfg Config) *Registry {
 	if cfg.Lease <= 0 {
 		cfg.Lease = 35 * time.Second
 	}
-	if cfg.DomainLease <= 0 {
-		cfg.DomainLease = cfg.Lease
-	}
-	if cfg.HealthReportEvery <= 0 {
-		cfg.HealthReportEvery = 10 * time.Second
-	}
-	if cfg.Probes == nil {
-		cfg.Probes = sysinfo.StandardProbes()
-	}
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = 3
 	}
@@ -241,7 +222,7 @@ func newFromConfig(cfg Config) *Registry {
 	r := &Registry{
 		cfg:       cfg,
 		clock:     cfg.Clock,
-		probes:    cfg.Probes,
+		probes:    sysinfo.StandardProbes(),
 		sched:     sched,
 		hosts:     make(map[string]*hostEntry),
 		sets:      newStateSets(),
@@ -424,10 +405,10 @@ func (r *Registry) Restart() {
 		Domains:   len(r.domains),
 	}
 	r.mu.Unlock()
-	r.cfg.Counters.Inc(metrics.CtrRegistryRestarts)
+	r.cfg.Metrics.Counter(metrics.CtrRegistryRestarts).Inc()
 	note := "soft state dropped"
 	if recovered {
-		r.cfg.Counters.Inc(metrics.CtrRegistryRecoveries)
+		r.cfg.Metrics.Counter(metrics.CtrRegistryRecoveries).Inc()
 		note = fmt.Sprintf("recovered from store: %d hosts, %d procs at seq %d", ev.Hosts, ev.Procs, ev.Seq)
 	}
 	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(hosts))

@@ -11,8 +11,8 @@ import (
 
 func TestRestartDropsSoftState(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	ctr := metrics.NewCounters()
-	r := newFromConfig(Config{Clock: clock, Counters: ctr})
+	reg := metrics.NewRegistry()
+	r := newFromConfig(Config{Clock: clock, Metrics: reg})
 	if err := r.RegisterHost("ws1", proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestRestartDropsSoftState(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unregistered host") {
 		t.Fatalf("status after restart: %v", err)
 	}
-	if ctr.Get(metrics.CtrRegistryRestarts) != 1 {
-		t.Fatalf("restart counter = %d", ctr.Get(metrics.CtrRegistryRestarts))
+	if reg.Counter(metrics.CtrRegistryRestarts).Value() != 1 {
+		t.Fatalf("restart counter = %d", reg.Counter(metrics.CtrRegistryRestarts).Value())
 	}
 	// The diagnostic trace survives and records the restart.
 	var found bool

@@ -139,7 +139,7 @@ func (s *Standby) Promote() (*Registry, error) {
 	}
 	hosts := ev.Hosts
 	r.mu.Unlock()
-	r.cfg.Counters.Inc(metrics.CtrStandbyPromotions)
+	r.cfg.Metrics.Counter(metrics.CtrStandbyPromotions).Inc()
 	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(hosts))
 	r.traceWith(ev, EventPromoted, "", 0, "",
 		fmt.Sprintf("standby promoted at epoch %d, seq %d: %d hosts, %d procs", epoch, ev.Seq, ev.Hosts, ev.Procs))

@@ -89,9 +89,8 @@ func (r *Registry) trace(kind EventKind, host string, pid int, dest, note string
 }
 
 // traceWith appends an event carrying a typed payload on the unified sink
-// (callers must not hold r.mu). The trace ring and the OnEvent observer see
-// the plain Event; the payload rides only on events.Sink, where On[T]
-// subscribers pick it up.
+// (callers must not hold r.mu). The trace ring keeps the plain Event; the
+// payload rides only on events.Sink, where On[T] subscribers pick it up.
 func (r *Registry) traceWith(payload any, kind EventKind, host string, pid int, dest, note string) {
 	e := Event{At: r.clock.Now(), Kind: kind, Host: host, PID: pid, Dest: dest, Note: note}
 	r.mu.Lock()
@@ -100,9 +99,6 @@ func (r *Registry) traceWith(payload any, kind EventKind, host string, pid int, 
 		r.events = r.events[len(r.events)-traceCap:]
 	}
 	r.mu.Unlock()
-	if r.cfg.OnEvent != nil {
-		r.cfg.OnEvent(e)
-	}
 	if r.cfg.Events != nil {
 		u := e.Unified()
 		u.Payload = payload

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/proto"
 	"autoresched/internal/vclock"
 )
@@ -14,15 +15,15 @@ import (
 func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	sink := &fakeSink{}
-	var observed []EventKind
+	var observed []string
 	var mu sync.Mutex
 	r := newFromConfig(Config{
 		Clock: clock, Commands: sink, Warmup: 2, Cooldown: time.Minute,
-		OnEvent: func(e Event) {
+		Events: events.SinkFunc(func(e events.Event) {
 			mu.Lock()
 			observed = append(observed, e.Kind)
 			mu.Unlock()
-		},
+		}),
 	})
 	for _, h := range []string{"ws1", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
@@ -56,9 +57,9 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 		}
 	}
 
-	events := r.Trace()
-	kinds := make([]EventKind, len(events))
-	for i, e := range events {
+	trace := r.Trace()
+	kinds := make([]EventKind, len(trace))
+	for i, e := range trace {
 		kinds[i] = e.Kind
 	}
 	want := []EventKind{EventWarmup, EventNoProcess, EventOrdered, EventWarmup, EventCooldown}
@@ -70,7 +71,7 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 			t.Fatalf("trace = %v, want %v", kinds, want)
 		}
 	}
-	ordered := events[2]
+	ordered := trace[2]
 	if ordered.Host != "ws1" || ordered.PID != 9 || ordered.Dest != "ws4" {
 		t.Fatalf("ordered event = %+v", ordered)
 	}
@@ -80,7 +81,12 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(observed) != len(want) {
-		t.Fatalf("OnEvent saw %v", observed)
+		t.Fatalf("Events saw %v", observed)
+	}
+	for i := range want {
+		if observed[i] != string(want[i]) {
+			t.Fatalf("Events saw %v, want %v", observed, want)
+		}
 	}
 }
 
