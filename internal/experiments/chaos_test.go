@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -55,6 +57,20 @@ func TestChaosCrashDestScenarioIsDeterministic(t *testing.T) {
 	}
 }
 
+// checkChaosGolden pins a sweep's deterministic report byte for byte to
+// its golden in testdata. A diff is a behaviour change to explain in
+// EXPERIMENTS.md, not a file to regenerate.
+func checkChaosGolden(t *testing.T, golden string, rows []ChaosRow) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := RenderChaosDeterministic(rows); got != string(want) {
+		t.Errorf("report drifted from %s:\n%s\n--- want ---\n%s", golden, got, want)
+	}
+}
+
 // TestChaosAllScenariosSurvive sweeps the full scenario set: every fault
 // plan must terminate (no hang) and complete the checksummed computation.
 func TestChaosAllScenariosSurvive(t *testing.T) {
@@ -68,6 +84,7 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 	if len(rows) != 14 {
 		t.Fatalf("scenarios = %d, want 14 (8 classic + 2 resize + 2 jobs + 2 persist)", len(rows))
 	}
+	checkChaosGolden(t, "chaos-seed-3.txt", rows)
 	for _, r := range rows {
 		if !r.Survived {
 			t.Errorf("%s: survived=%v completed=%v correct=%v err=%q",

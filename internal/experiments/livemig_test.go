@@ -86,6 +86,7 @@ func TestChaosAllScenariosSurviveWithLiveMigration(t *testing.T) {
 	if len(rows) != 15 {
 		t.Fatalf("scenarios = %d, want 15 (8 classic + crash-dest-mid-precopy + 2 resize + 2 jobs + 2 persist)", len(rows))
 	}
+	checkChaosGolden(t, "chaos-live-seed-3.txt", rows)
 	byName := map[string]ChaosRow{}
 	for _, r := range rows {
 		byName[r.Scenario] = r
