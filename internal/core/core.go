@@ -42,8 +42,6 @@ type Options struct {
 	// MonitorInterval is the default monitoring frequency; zero selects
 	// 10 s (the paper's sampling interval).
 	MonitorInterval time.Duration
-	// Frequencies optionally overrides the monitoring frequency per state.
-	Frequencies map[rules.State]time.Duration
 	// GatherCost charges each monitoring cycle's CPU cost to the host, in
 	// work units; zero disables (and makes the rescheduler free, which is
 	// not what the paper measured — Figure 5's overhead comes from here).
@@ -56,18 +54,8 @@ type Options struct {
 	SpawnLatency time.Duration
 	// ChunkBytes is the lazy state streaming chunk size.
 	ChunkBytes int
-	// CommandDir, when set, receives the commanders' migrate-address temp
-	// files.
-	CommandDir string
 	// Parent chains this system's registry under an upper-level one.
 	Parent *registry.Registry
-	// Domain names this system's control domain under Parent: the registry
-	// then reports its Health upward on a lease and the parent delegates
-	// placements across its domains (Section 3.2's sharded hierarchy).
-	Domain string
-	// Scheduler overrides the placement scheduler; nil keeps the registry
-	// default (first fit, or the policy's pl_scheduler).
-	Scheduler registry.Scheduler
 	// BatchStatusEvery, when positive, interposes a registry.Batcher
 	// between the monitors and the registry: status refreshes coalesce
 	// into batched reports flushed at this interval (or when 64 hosts are
@@ -105,14 +93,11 @@ type Options struct {
 	// snapshot every N appended records (requires Store); zero disables
 	// periodic compaction.
 	SnapshotEvery int
-	// Observer, when set, receives migration phase events (after the
-	// runtime's own counting observer).
-	Observer hpcm.MigrationObserver
 	// Events, when set, receives the unified runtime event stream: registry
 	// decisions (Source "registry"), commander orders (Source "commander")
-	// and migration phases (Source "hpcm") flow through this one sink; pass
-	// the same sink to the fault injector to fold its events (Source
-	// "faults") in too.
+	// and migration phases (Source "hpcm") flow through this one sink. A
+	// faults.Injector is such a sink: passed here, its traps fire on the
+	// typed payloads.
 	Events events.Sink
 	// Metrics, when set, receives the runtime's metrics from every layer:
 	// the control-plane counters (metrics.Ctr*), the registry's hosts gauge
@@ -291,10 +276,9 @@ func New(opts Options) (*System, error) {
 	}
 	s.events = sink
 	s.queue = jobs.NewQueue(clock, sink)
-	// The runtime's own observer keeps the commit/abort counters; a
-	// user-supplied observer (fault injection) chains after it. The
+	// The runtime's own observer keeps the commit/abort counters. The
 	// middleware publishes the same events — with typed payloads — on the
-	// unified sink itself.
+	// unified sink itself, where a fault injector's traps listen.
 	observer := func(ev hpcm.MigrationEvent) {
 		switch ev.Phase {
 		case hpcm.PhaseResume:
@@ -304,9 +288,6 @@ func New(opts Options) (*System, error) {
 		default:
 			// Intermediate phases (start/init/precopy/freeze/restore) and
 			// failures are span material, not commit/abort outcomes.
-		}
-		if opts.Observer != nil {
-			opts.Observer(ev)
 		}
 	}
 	mw, err := hpcm.New(hpcm.Options{
@@ -328,11 +309,9 @@ func New(opts Options) (*System, error) {
 		registry.WithClock(clock),
 		registry.WithPolicy(opts.Policy),
 		registry.WithCommands(s),
-		registry.WithScheduler(opts.Scheduler),
 		registry.WithWarmup(opts.Warmup),
 		registry.WithCooldown(opts.Cooldown),
 		registry.WithParent(opts.Parent),
-		registry.WithDomain(opts.Domain),
 		registry.WithEvents(events.Multi(sink, events.On(s.onRegistryRestart))),
 		registry.WithMetrics(opts.Metrics),
 		registry.WithStore(opts.Store),
@@ -407,7 +386,6 @@ func (s *System) AddNode(host string) (*Node, error) {
 
 	source, _ := s.cluster.Source(host)
 	cmd := commander.NewCommander(host,
-		commander.WithDir(s.opts.CommandDir),
 		commander.WithClock(s.clock),
 		commander.WithDedupWindow(s.opts.OrderDedupWindow),
 		commander.WithMetrics(s.opts.Metrics),
@@ -440,7 +418,6 @@ func (s *System) AddNode(host string) (*Node, error) {
 		monitor.WithEngine(DefaultEngine()),
 		monitor.WithReporter(reporter),
 		monitor.WithClock(s.clock),
-		monitor.WithFrequencies(s.opts.Frequencies),
 		monitor.WithDefaultFrequency(s.opts.MonitorInterval),
 		monitor.WithCommandAddr("cmd://" + host),
 		monitor.WithSoftware([]string{"hpcm", "lam-mpi"}),

@@ -307,18 +307,22 @@ func (s *System) runCycle() {
 		},
 	}
 	for _, adm := range jobs.PlanCycle(s.policy, pending, view) {
+		// Leave Pending before the next cycle can snapshot the queue: an
+		// executor still on its way would otherwise let that cycle admit
+		// the same job twice, and the loser's launch finds the winner's
+		// ranks already running.
+		if err := s.queue.Transition(adm.Job, jobs.StateReserving, "admitted"); err != nil {
+			continue
+		}
 		go s.execAdmission(adm, occ)
 	}
 }
 
-// execAdmission carries one planned admission out: reserve, evict, commit,
-// launch. Any failure puts the job back to Pending; the next cycle replans
-// from the fleet as it then stands.
+// execAdmission carries one planned admission out, the job already moved
+// to Reserving: reserve, evict, commit, launch. Any failure puts the job
+// back to Pending; the next cycle replans from the fleet as it then stands.
 func (s *System) execAdmission(adm jobs.Admission, occ map[string]string) {
 	defer s.kickDispatcher()
-	if err := s.queue.Transition(adm.Job, jobs.StateReserving, "admitted"); err != nil {
-		return
-	}
 	requeue := func(note string) {
 		_ = s.queue.Transition(adm.Job, jobs.StatePending, note)
 	}

@@ -1,10 +1,10 @@
-// Package events is the runtime's unified event surface. The registry's
-// decision trace, the migration middleware's phase observer and the fault
-// injector's applied/triggered log each grew their own callback shape; a
-// Sink receives all of them as one normalised stream, wired once through
-// core.Options.Events. The registry publishes only here; the remaining
-// older surfaces (hpcm.MigrationObserver, faults.Injector.Applied) keep
-// working alongside the sink.
+// Package events is the runtime's one event surface. Every layer publishes
+// to a Sink, wired once through core.Options.Events: registry decisions,
+// commander orders, migration and checkpoint phases, resize phases, job
+// transitions and the fault injector's applied faults and fired traps.
+// Consumers that need a source's own vocabulary register events.On[T] for
+// its typed payload; the fault injector is such a consumer, firing its
+// traps from the payloads instead of a per-subsystem callback.
 package events
 
 import (
@@ -103,12 +103,11 @@ func (m multi) Publish(e Event) {
 }
 
 // On registers a typed observer as a Sink: fn runs for every event whose
-// Payload is a T, and all other events pass through silently. This is the
-// single registration pattern replacing the per-subsystem callback
-// interfaces (hpcm.MigrationObserver, malleable.ResizeObserver, a would-be
-// job observer): wire events.On[jobs.Event](fn) into the one sink instead.
-// fn runs synchronously on the emitting goroutine and must follow the Sink
-// contract (concurrency-safe, non-blocking).
+// Payload is a T, and all other events pass through silently. It is the
+// one registration pattern for a source's own vocabulary: wire
+// events.On[jobs.Event](fn) into the sink rather than a per-subsystem
+// callback. fn runs synchronously on the emitting goroutine and must follow
+// the Sink contract (concurrency-safe, non-blocking).
 func On[T any](fn func(T)) Sink {
 	return SinkFunc(func(e Event) {
 		if p, ok := e.Payload.(T); ok {

@@ -7,12 +7,15 @@ import (
 	"sync"
 	"time"
 
+	"autoresched/internal/cluster"
 	"autoresched/internal/core"
+	"autoresched/internal/events"
 	"autoresched/internal/faults"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/livemig"
 	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
+	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
 
@@ -94,8 +97,9 @@ var chaosCounterNames = []string{
 
 const chaosApp = "test_tree"
 
+// chaosScenario is one fault plan and the rig it runs against.
 type chaosScenario struct {
-	name string
+	rig  chaosRig
 	plan faults.Plan
 }
 
@@ -106,34 +110,34 @@ type chaosScenario struct {
 func chaosScenarios(live bool) []chaosScenario {
 	at := func(s int) time.Duration { return time.Duration(s) * time.Second }
 	scenarios := []chaosScenario{
-		{"baseline", faults.Plan{Name: "baseline"}},
-		{"heartbeat-faults", faults.Plan{Name: "heartbeat-faults", Events: []faults.Event{
+		{treeRig, faults.Plan{Name: "baseline"}},
+		{treeRig, faults.Plan{Name: "heartbeat-faults", Events: []faults.Event{
 			{After: at(40), Kind: faults.KindDropStatus, Host: "ws2", Count: 2},
 			{After: at(45), Kind: faults.KindDupStatus, Host: "ws3", Count: 2},
 			{After: at(50), Kind: faults.KindDelayStatus, Host: "ws2", Count: 1, Delay: 2 * time.Second},
 		}}},
-		{"degraded-migration", faults.Plan{Name: "degraded-migration", Events: []faults.Event{
+		{treeRig, faults.Plan{Name: "degraded-migration", Events: []faults.Event{
 			{After: at(40), Kind: faults.KindLinkFactor, Host: "ws1", Peer: "ws2", Factor: 0.25},
 			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
 			{After: at(150), Kind: faults.KindLinkFactor, Host: "ws1", Peer: "ws2", Factor: 1},
 		}}},
-		{"partition-abort", faults.Plan{Name: "partition-abort", Events: []faults.Event{
+		{treeRig, faults.Plan{Name: "partition-abort", Events: []faults.Event{
 			{After: at(40), Kind: faults.KindPartition, Host: "ws1", Peer: "ws2"},
 			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
 			{After: at(150), Kind: faults.KindHeal, Host: "ws1", Peer: "ws2"},
 		}}},
-		{"crash-dest-mid-migration", faults.Plan{Name: "crash-dest-mid-migration", Events: []faults.Event{
+		{treeRig, faults.Plan{Name: "crash-dest-mid-migration", Events: []faults.Event{
 			{After: at(40), Kind: faults.KindCrashOnPhase, Proc: chaosApp, Phase: hpcm.PhaseInit, Target: "dest"},
 			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
 		}}},
-		{"crash-source-post-commit", faults.Plan{Name: "crash-source-post-commit", Events: []faults.Event{
+		{treeRig, faults.Plan{Name: "crash-source-post-commit", Events: []faults.Event{
 			{After: at(40), Kind: faults.KindCrashOnPhase, Proc: chaosApp, Phase: hpcm.PhaseResume, Target: "source"},
 			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
 		}}},
-		{"registry-restart", faults.Plan{Name: "registry-restart", Events: []faults.Event{
+		{treeRig, faults.Plan{Name: "registry-restart", Events: []faults.Event{
 			{After: at(60), Kind: faults.KindRestartRegistry},
 		}}},
-		{"duplicate-order", faults.Plan{Name: "duplicate-order", Events: []faults.Event{
+		{treeRig, faults.Plan{Name: "duplicate-order", Events: []faults.Event{
 			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2", Count: 3},
 		}}},
 	}
@@ -142,60 +146,60 @@ func chaosScenarios(live bool) []chaosScenario {
 		// next round) hits a dead host, the attempt aborts pre-commit, and
 		// the runtime falls back to checkpoint recovery.
 		scenarios = append(scenarios, chaosScenario{
-			"crash-dest-mid-precopy", faults.Plan{Name: "crash-dest-mid-precopy", Events: []faults.Event{
+			treeRig, faults.Plan{Name: "crash-dest-mid-precopy", Events: []faults.Event{
 				{After: at(40), Kind: faults.KindCrashOnPhase, Proc: chaosApp, Phase: hpcm.PhasePrecopy, Round: 1, Target: "dest"},
 				{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
 			}},
 		})
 	}
 	// The resize-* scenarios run the malleability engine's crash windows
-	// against a dedicated elastic job (runMalleableChaosScenario). One kills
-	// a freshly spawned rank mid-expand, which must abort the resize cleanly
-	// back to the old world; the other kills a victim host mid-shrink after
-	// the drain, which must not stop the shrink from committing.
+	// against a dedicated elastic job (resizeRig). One kills a freshly
+	// spawned rank mid-expand, which must abort the resize cleanly back to
+	// the old world; the other kills a victim host mid-shrink after the
+	// drain, which must not stop the shrink from committing.
 	scenarios = append(scenarios,
-		chaosScenario{"resize-crash-new-rank", faults.Plan{Name: "resize-crash-new-rank", Events: []faults.Event{
+		chaosScenario{resizeRig, faults.Plan{Name: "resize-crash-new-rank", Events: []faults.Event{
 			{After: at(40), Kind: faults.KindCrashOnResizePhase, Phase: malleable.PhaseSpawn, Target: "new"},
 			{After: at(60), Kind: faults.KindResize, Hosts: []string{"ws1", "ws2", "ws3", "ws4", "ws5"}},
 		}}},
-		chaosScenario{"resize-crash-victim", faults.Plan{Name: "resize-crash-victim", Events: []faults.Event{
+		chaosScenario{resizeRig, faults.Plan{Name: "resize-crash-victim", Events: []faults.Event{
 			{After: at(40), Kind: faults.KindCrashOnResizePhase, Phase: malleable.PhaseReshape, Target: "victim"},
 			{After: at(60), Kind: faults.KindResize, Hosts: []string{"ws1", "ws2", "ws3"}},
 		}}},
 	)
 	// The jobs-* scenarios run the multi-job control plane's preemption
-	// crash windows (runJobsChaosScenario): a high-priority gang evicts a
-	// low-priority one, and the fault lands inside the eviction. One kills a
-	// victim rank mid-eviction-checkpoint — the image is lost, but the job
-	// must still requeue and the gang rerun; the other crashes a reserved
-	// host while the gang reservation is pending — Commit must fail with
+	// crash windows (jobsRig): a high-priority gang evicts a low-priority
+	// one, and the fault lands inside the eviction. One kills a victim rank
+	// mid-eviction-checkpoint — the image is lost, but the job must still
+	// requeue and the gang rerun; the other crashes a reserved host while
+	// the gang reservation is pending — Commit must fail with
 	// ErrReservationLost and roll every mark back, leaving no orphaned
 	// leases.
 	scenarios = append(scenarios,
-		chaosScenario{"jobs-kill-victim-mid-ckpt", faults.Plan{Name: "jobs-kill-victim-mid-ckpt", Events: []faults.Event{
+		chaosScenario{jobsRig, faults.Plan{Name: "jobs-kill-victim-mid-ckpt", Events: []faults.Event{
 			{After: at(5), Kind: faults.KindSubmitJob, Proc: "batch"},
 			{After: at(40), Kind: faults.KindKillOnCkpt, Proc: "batch.0", Target: "proc"},
 			{After: at(45), Kind: faults.KindSubmitJob, Proc: "express"},
 		}}},
-		chaosScenario{"jobs-crash-host-mid-reserve", faults.Plan{Name: "jobs-crash-host-mid-reserve", Events: []faults.Event{
+		chaosScenario{jobsRig, faults.Plan{Name: "jobs-crash-host-mid-reserve", Events: []faults.Event{
 			{After: at(5), Kind: faults.KindSubmitJob, Proc: "batch"},
 			{After: at(40), Kind: faults.KindKillOnCkpt, Proc: "batch.1", Target: "host"},
 			{After: at(45), Kind: faults.KindSubmitJob, Proc: "express"},
 		}}},
 	)
 	// The registry-crashloop-* / registry-standby-* scenarios run the durable
-	// control plane (persist_chaos.go): the registry journals every mutation
-	// to a persist store, so a crash-looping parent bootstraps from snapshot
-	// + log suffix with zero monitor re-registrations — even after a torn
-	// tail write — and a warm standby promotes over the fenced primary
-	// without double-admitting its pending gang reservation.
+	// control plane (crashloopRig, standbyRig): the registry journals every
+	// mutation to a persist store, so a crash-looping parent bootstraps from
+	// snapshot + log suffix with zero monitor re-registrations — even after
+	// a torn tail write — and a warm standby promotes over the fenced
+	// primary without double-admitting its pending gang reservation.
 	scenarios = append(scenarios,
-		chaosScenario{"registry-crashloop-under-load", faults.Plan{Name: "registry-crashloop-under-load", Events: []faults.Event{
+		chaosScenario{crashloopRig, faults.Plan{Name: "registry-crashloop-under-load", Events: []faults.Event{
 			{After: at(60), Kind: faults.KindCrashLoopRegistry, Count: 3},
 			{After: at(90), Kind: faults.KindTornWrite, Count: 5},
 			{After: at(95), Kind: faults.KindRestartRegistry},
 		}}},
-		chaosScenario{"registry-standby-promote", faults.Plan{Name: "registry-standby-promote"}},
+		chaosScenario{standbyRig, faults.Plan{Name: "registry-standby-promote"}},
 	)
 	return scenarios
 }
@@ -211,7 +215,7 @@ func ChaosScenarioNames(live bool) []string {
 	scs := chaosScenarios(live)
 	names := make([]string, 0, len(scs))
 	for _, sc := range scs {
-		names = append(names, sc.name)
+		names = append(names, sc.plan.Name)
 	}
 	return names
 }
@@ -243,31 +247,17 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	var rows []ChaosRow
 	baseline := 0.0
 	for _, sc := range chaosScenarios(cfg.Live != nil) {
-		if !selected(sc.name) {
+		name := sc.plan.Name
+		if !selected(name) {
 			continue
 		}
-		var row ChaosRow
-		var err error
-		switch {
-		case strings.HasPrefix(sc.name, "resize-"):
-			row, err = runMalleableChaosScenario(cfg, sc)
-		case strings.HasPrefix(sc.name, "jobs-"):
-			row, err = runJobsChaosScenario(cfg, sc)
-		case strings.HasPrefix(sc.name, "registry-crashloop-"):
-			row, err = runPersistCrashloopScenario(cfg, sc)
-		case strings.HasPrefix(sc.name, "registry-standby-"):
-			row, err = runPersistStandbyScenario(cfg, sc)
-		default:
-			row, err = runChaosScenario(cfg, sc)
-		}
+		row, err := runChaosScenario(cfg, sc)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos %s: %w", sc.name, err)
+			return nil, fmt.Errorf("experiments: chaos %s: %w", name, err)
 		}
-		if sc.name == "baseline" {
+		if name == "baseline" {
 			baseline = row.VirtualSec
-		} else if baseline > 0 && !strings.HasPrefix(sc.name, "resize-") && !strings.HasPrefix(sc.name, "jobs-") {
-			// The resize and jobs scenarios run different workloads;
-			// inflation against the tree baseline would be meaningless.
+		} else if baseline > 0 && sc.rig.tree {
 			row.InflationPct = (row.VirtualSec/baseline - 1) * 100
 		}
 		rows = append(rows, row)
@@ -275,50 +265,174 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	return rows, nil
 }
 
+// chaosRig is the system a scenario's fault plan runs against. The harness
+// (runChaosScenario) builds the cluster, the metrics registry and the fault
+// injector; start builds the rig's system on them, binds it to the
+// injector and launches the workload.
+type chaosRig struct {
+	hosts int
+	// tree marks the rigs running the checksummed tree workload, whose
+	// completion times compare against the baseline scenario's. The other
+	// workloads differ, so inflation against the tree would be meaningless.
+	tree  bool
+	start func(h *chaosHarness) (*chaosWork, error)
+}
+
+// chaosWork is a rig's launched workload, as the harness drives it.
+type chaosWork struct {
+	// settled closes once the workload has finished, well or not.
+	settled <-chan struct{}
+	// putDown forces the workload down after the virtual deadline passed;
+	// it returns once settled has closed.
+	putDown func()
+	// finish fills in the row's outcome (FinalErr, Correct and the
+	// approximate fields) after the injector stopped, noting any closing
+	// checks in the schedule.
+	finish func(row *ChaosRow) error
+	// stop tears the rig down once the row is assembled.
+	stop func()
+}
+
+// chaosHarness is one scenario run's shared state.
+type chaosHarness struct {
+	cfg   ChaosConfig
+	cl    *cluster.Cluster
+	names []string
+	clock vclock.Clock
+	mreg  *metrics.Registry
+	in    *faults.Injector
+
+	mu    sync.Mutex
+	notes []string // deterministic lines after the injector's logs
+}
+
+// note appends one deterministic line to the row's schedule.
+func (h *chaosHarness) note(format string, args ...any) {
+	h.mu.Lock()
+	h.notes = append(h.notes, fmt.Sprintf(format, args...))
+	h.mu.Unlock()
+}
+
+// runChaosScenario runs one scenario: it starts the rig, applies the plan
+// through the injector under a virtual-deadline watchdog, and assembles the
+// row from the injector's logs, the rig's notes and the scenario's metrics.
 func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
-	cl, names, err := newCluster(cfg.Params, 4)
+	cl, names, err := newCluster(cfg.Params, sc.rig.hosts)
 	if err != nil {
 		return ChaosRow{}, err
 	}
 	clock := cl.Clock()
 	mreg := metrics.NewRegistry()
-	in := faults.NewInjector(faults.Config{Clock: clock, Metrics: mreg})
-	sys, err := core.New(core.Options{
-		Cluster:          cl,
-		MonitorInterval:  cfg.Interval,
-		GatherCost:       0.05 * hostSpeed,
-		Warmup:           2,
-		Cooldown:         10 * time.Minute,
-		RegistryHost:     names[3],
-		ChunkBytes:       8 << 20,
-		Checkpoints:      hpcm.NewMemStore(),
-		CheckpointEvery:  30 * time.Second,
-		FailoverRetries:  2,
-		OrderDedupWindow: 30 * time.Second,
-		Metrics:          mreg,
-		Observer:         in.Observer(),
-		WrapReporter:     in.WrapReporter,
-		Live:             cfg.Live,
-	})
+	h := &chaosHarness{
+		cfg: cfg, cl: cl, names: names, clock: clock, mreg: mreg,
+		in: faults.NewInjector(faults.Config{Clock: clock, Metrics: mreg}),
+	}
+	w, err := sc.rig.start(h)
 	if err != nil {
 		return ChaosRow{}, err
 	}
-	if err := sys.AddNodes(names...); err != nil {
+	defer w.stop()
+	start := clock.Now()
+	h.in.Run(sc.plan)
+
+	// Virtual-deadline watchdog: a scenario that hangs is a failed scenario,
+	// not a hung experiment.
+	completed := true
+	watchdog := clock.NewTimer(30 * time.Minute)
+	select {
+	case <-w.settled:
+		watchdog.Stop()
+	case <-watchdog.C:
+		completed = false
+		w.putDown()
+	}
+	h.in.Stop()
+	row := ChaosRow{
+		Scenario:   sc.plan.Name,
+		Completed:  completed,
+		Schedule:   append(h.in.Applied(), h.in.Triggered()...),
+		Counters:   make(map[string]int64, len(chaosCounterNames)),
+		VirtualSec: clock.Since(start).Seconds(),
+	}
+	if err := w.finish(&row); err != nil {
 		return ChaosRow{}, err
 	}
-	defer sys.Stop()
-	in.Bind(sys)
+	h.mu.Lock()
+	row.Schedule = append(row.Schedule, h.notes...)
+	h.mu.Unlock()
+	for _, name := range chaosCounterNames {
+		row.Counters[name] = mreg.Counter(name).Value()
+	}
+	// Migration phase spans come from the core rigs, resize phases from the
+	// elastic one; each rig records only its own.
+	row.Spans = append(mreg.SpanStats("span/"), mreg.SpanStats("malleable/")...)
+	cfg.Metrics.Merge(mreg)
+	row.Survived = row.Completed && row.Correct && row.FinalErr == ""
+	return row, nil
+}
 
-	// A couple of monitoring cycles so the registry has fresh samples for
-	// its first-fit searches.
-	clock.Sleep(25 * time.Second)
+// system builds a core rig's System. opts carries the rig's own settings;
+// system fills in the block every core rig shares — the injector as the
+// first event sink and as the heartbeat tap — deploys a node per host,
+// binds the injector, and lets a couple of monitoring cycles give the
+// registry fresh samples and leases before any fault lands.
+func (h *chaosHarness) system(opts core.Options) (*core.System, error) {
+	opts.Cluster = h.cl
+	opts.MonitorInterval = h.cfg.Interval
+	opts.GatherCost = 0.05 * hostSpeed
+	opts.Warmup = 2
+	opts.Cooldown = 10 * time.Minute
+	opts.RegistryHost = h.names[len(h.names)-1]
+	opts.ChunkBytes = 8 << 20
+	opts.Checkpoints = hpcm.NewMemStore()
+	opts.Metrics = h.mreg
+	opts.Events = events.Multi(h.in, opts.Events)
+	opts.WrapReporter = h.in.WrapReporter
+	sys, err := core.New(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.AddNodes(h.names...); err != nil {
+		sys.Stop()
+		return nil, err
+	}
+	h.in.Bind(sys)
+	h.clock.Sleep(25 * time.Second)
+	return sys, nil
+}
 
+// treeOptions is the recovery setting of the tree rigs: periodic
+// checkpoints, a failover budget of two, and a dedup window that collapses
+// redelivered migrate orders.
+func treeOptions() core.Options {
+	return core.Options{
+		CheckpointEvery:  30 * time.Second,
+		FailoverRetries:  2,
+		OrderDedupWindow: 30 * time.Second,
+	}
+}
+
+// treeRig is the classic rig: the checksummed tree computation on a
+// four-host system, eligible for live migration when the sweep enables it.
+var treeRig = chaosRig{hosts: 4, tree: true, start: func(h *chaosHarness) (*chaosWork, error) {
+	opts := treeOptions()
+	opts.Live = h.cfg.Live
+	sys, err := h.system(opts)
+	if err != nil {
+		return nil, err
+	}
+	return h.launchTree(sys, h.cfg.Live != nil)
+}}
+
+// launchTree launches the tree computation on ws1 of sys and binds it as
+// chaosApp. A paged ballast (live) makes the run eligible for the live
+// path. The work's finish checks every round's checksum.
+func (h *chaosHarness) launchTree(sys *core.System, live bool) (*chaosWork, error) {
 	tree := workload.TreeConfig{
-		Levels: 10, Rounds: 40, Seed: cfg.Seed + 1,
+		Levels: 10, Rounds: 40, Seed: h.cfg.Seed + 1,
 		WorkPerNode: 600, BytesPerNode: 8,
 	}
-	if cfg.Live != nil {
-		// A paged bulk region makes the run eligible for the live path.
+	if live {
 		tree.BallastBytes = 4 << 20
 		tree.PagedBallast = true
 	}
@@ -331,64 +445,43 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 	}
 	app, err := sys.Launch(chaosApp, "ws1", tree.Schema(hostSpeed), workload.TestTree(tree))
 	if err != nil {
-		return ChaosRow{}, err
+		sys.Stop()
+		return nil, err
 	}
-	start := clock.Now()
-	in.BindApp(chaosApp, app)
-	in.Run(sc.plan)
-
-	// Virtual-deadline watchdog: a scenario that hangs is a failed scenario,
-	// not a hung experiment.
-	completed := true
-	watchdog := clock.NewTimer(30 * time.Minute)
-	select {
-	case <-app.Settled():
-		watchdog.Stop()
-	case <-watchdog.C:
-		completed = false
-		// Put the app down (exhausting its failover budget) so the run can
-		// be torn down cleanly.
-		for settled := false; !settled; {
-			app.Process().Kill()
-			select {
-			case <-app.Settled():
-				settled = true
-			case <-clock.After(100 * time.Millisecond):
+	h.in.BindApp(chaosApp, app)
+	return &chaosWork{
+		settled: app.Settled(),
+		putDown: func() {
+			// Kill the app until its failover budget is spent.
+			for settled := false; !settled; {
+				app.Process().Kill()
+				select {
+				case <-app.Settled():
+					settled = true
+				case <-h.clock.After(100 * time.Millisecond):
+				}
 			}
-		}
-	}
-	in.Stop()
-	elapsed := clock.Since(start)
-
-	row := ChaosRow{
-		Scenario:    sc.name,
-		Completed:   completed,
-		FinalHost:   app.Host(),
-		Checkpoints: app.Process().Checkpoints(),
-		Retries:     app.Retries(),
-		Schedule:    append(in.Applied(), in.Triggered()...),
-		Counters:    make(map[string]int64, len(chaosCounterNames)),
-		VirtualSec:  elapsed.Seconds(),
-	}
-	if err := app.Wait(); err != nil {
-		row.FinalErr = err.Error()
-	}
-	for _, name := range chaosCounterNames {
-		row.Counters[name] = mreg.Counter(name).Value()
-	}
-	row.Spans = mreg.SpanStats("span/")
-	cfg.Metrics.Merge(mreg)
-	want := workload.ExpectedSums(tree)
-	mu.Lock()
-	row.Correct = len(sums) == tree.Rounds
-	for round, sum := range want {
-		if sums[round] != sum {
-			row.Correct = false
-		}
-	}
-	mu.Unlock()
-	row.Survived = row.Completed && row.Correct && row.FinalErr == ""
-	return row, nil
+		},
+		finish: func(row *ChaosRow) error {
+			row.FinalHost = app.Host()
+			row.Checkpoints = app.Process().Checkpoints()
+			row.Retries = app.Retries()
+			if err := app.Wait(); err != nil {
+				row.FinalErr = err.Error()
+			}
+			want := workload.ExpectedSums(tree)
+			mu.Lock()
+			defer mu.Unlock()
+			row.Correct = len(sums) == tree.Rounds
+			for round, sum := range want {
+				if sums[round] != sum {
+					row.Correct = false
+				}
+			}
+			return nil
+		},
+		stop: sys.Stop,
+	}, nil
 }
 
 // renderRowDeterministic prints the parts of a row that are identical

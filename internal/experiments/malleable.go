@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
@@ -145,7 +146,7 @@ func runMalleableArm(cfg MalleableConfig, arm string, advisor *registry.ElasticA
 		App:          app,
 		Hosts:        cl,
 		InitialHosts: names[:4],
-		Observer:     observer,
+		Events:       events.On(observer),
 		Metrics:      mreg,
 	})
 	if err != nil {

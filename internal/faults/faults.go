@@ -1,11 +1,16 @@
 // Package faults is a deterministic fault-injection engine for the runtime
 // system. A Plan schedules faults in virtual time — host crashes, registry
-// restarts, network partitions, link degradation, heartbeat loss, forced and
-// duplicated migrate orders, and crashes pinned to exact migration protocol
-// phases — and an Injector applies them against a core.System. Because
-// triggers are either virtual-time offsets or protocol events (never wall
-// time), the same plan against the same seeded workload produces the same
-// fault schedule and the same robustness counters on every run.
+// restarts and crash-loops, torn log writes, network partitions, link
+// degradation, heartbeat loss, forced and duplicated migrate orders, job
+// submissions and elastic resize proposals — and arms one-shot traps that
+// crash a host at an exact migration or resize phase, or kill a process as
+// it begins a checkpoint. An Injector applies a plan against a bound
+// core.System or malleable job; it is the only interpreter of a plan on the
+// live runtime, and an events.Sink whose traps fire from the typed payloads
+// the runtime publishes. Because triggers are either virtual-time offsets
+// or protocol events (never wall time), the same plan against the same
+// seeded workload produces the same fault schedule and the same robustness
+// counters on every run.
 package faults
 
 import (
@@ -23,10 +28,10 @@ const (
 	// stopped (unregistering the host), local incarnations killed.
 	KindCrashHost Kind = "crash-host"
 	// KindReviveHost returns a crashed Host to service after an outage.
-	// Interpreted by the scenario fleet runner (internal/scenario), whose
-	// generated crash faults are outages with a bounded duration; the live
-	// injector treats KindCrashHost as permanent and reports this kind as
-	// unknown.
+	// Model-only: interpreted by the scenario fleet runner
+	// (internal/scenario), whose generated crash faults are outages with a
+	// bounded duration; the live injector treats KindCrashHost as permanent
+	// and reports this kind as unknown.
 	KindReviveHost Kind = "revive-host"
 	// KindRestartRegistry drops the registry's soft state; monitors
 	// re-register through heartbeats and the runtime resyncs processes.
@@ -53,9 +58,8 @@ const (
 	// "dest") of that migration. For hpcm.PhasePrecopy, Round > 0 narrows
 	// the trap to that precopy round (0 fires on the first round seen).
 	KindCrashOnPhase Kind = "crash-on-phase"
-	// KindResize proposes the placement Hosts to a malleable job — the
-	// elastic analogue of KindMigrate. Interpreted by the malleable chaos
-	// runner, which binds the event to its job.
+	// KindResize proposes the placement Hosts to the malleable job bound
+	// with Injector.BindJob — the elastic analogue of KindMigrate.
 	KindResize Kind = "resize"
 	// KindCrashOnResizePhase arms a one-shot trap on the malleable resize
 	// protocol: when a resize reaches Phase (a malleable.Phase* constant),
@@ -73,15 +77,15 @@ const (
 	// store must implement persist.TailTruncator; the registry's next
 	// bootstrap recovers the longest intact record prefix.
 	KindTornWrite Kind = "torn-write"
-	// KindSubmitJob submits the pre-registered job spec named Proc to the
-	// multi-job queue. Interpreted by the jobs chaos runner, which holds the
-	// scenario's spec set.
+	// KindSubmitJob submits the job spec named Proc, registered with
+	// Injector.BindSpec, to the bound system's multi-job queue.
 	KindSubmitJob Kind = "submit-job"
 	// KindKillOnCkpt arms a one-shot trap on the checkpoint protocol: when
-	// the process named Proc begins writing a checkpoint (the eviction
-	// checkpoint of a preemption victim, in the jobs scenarios), put it down
-	// mid-write — Target "proc" kills just that incarnation, Target "host"
-	// crashes its whole host. Either way the in-progress image is lost.
+	// the process named Proc (a bound app, or a rank of a bound job spec)
+	// begins writing a checkpoint — the eviction checkpoint of a preemption
+	// victim, in the jobs scenarios — put it down mid-write: Target "proc"
+	// kills just that incarnation, Target "host" crashes its whole host.
+	// Either way the in-progress image is lost.
 	KindKillOnCkpt Kind = "kill-on-checkpoint"
 )
 
@@ -100,7 +104,7 @@ type Event struct {
 	Delay  time.Duration
 	Phase  string
 	Round  int      // precopy round a crash-on-phase trap waits for (0: any)
-	Target string   // "source" | "dest" | "new" | "victim"
+	Target string   // "source" | "dest" | "new" | "victim" | "proc" | "host"
 	Hosts  []string // resize target placement, rank order
 }
 

@@ -8,7 +8,9 @@ import (
 
 	"autoresched/internal/cluster"
 	"autoresched/internal/core"
+	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
+	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 	"autoresched/internal/simnode"
@@ -104,7 +106,7 @@ func TestStatusTapDropsDuplicatesAndConsumes(t *testing.T) {
 func TestObserverTrapFiresOnceOnMatchingPhase(t *testing.T) {
 	in := NewInjector(Config{Clock: vclock.Real()})
 	in.apply(Event{Kind: KindCrashOnPhase, Proc: "app", Phase: hpcm.PhaseInit, Target: "dest"})
-	obs := in.Observer()
+	obs := func(ev hpcm.MigrationEvent) { in.Publish(events.Event{Payload: ev}) }
 
 	obs(hpcm.MigrationEvent{Proc: "other", Phase: hpcm.PhaseInit, From: "ws1", To: "ws2"})
 	obs(hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhaseStart, From: "ws1", To: "ws2"})
@@ -122,6 +124,38 @@ func TestObserverTrapFiresOnceOnMatchingPhase(t *testing.T) {
 	}
 }
 
+// TestTrapsFireFromEventPayloads arms the resize and checkpoint traps and
+// feeds their payloads through Publish: each fires once, on the first
+// matching event, naming the host its target picks.
+func TestTrapsFireFromEventPayloads(t *testing.T) {
+	in := NewInjector(Config{Clock: vclock.Real()})
+	in.apply(Event{Kind: KindCrashOnResizePhase, Phase: malleable.PhaseSpawn, Target: "new"})
+	in.apply(Event{Kind: KindKillOnCkpt, Proc: "batch.1", Target: "host"})
+	publish := func(p any) { in.Publish(events.Event{Payload: p}) }
+
+	publish(malleable.Event{Job: "j", Phase: malleable.PhaseQuiesce, Added: []string{"h5"}})
+	publish(malleable.Event{Job: "j", Phase: malleable.PhaseSpawn}) // nothing added: stays armed
+	publish(hpcm.CheckpointEvent{Proc: "batch.0", Host: "ws1", Begin: true})
+	publish(hpcm.CheckpointEvent{Proc: "batch.1", Host: "ws2"}) // the save, not the write
+	if got := in.Triggered(); len(got) != 0 {
+		t.Fatalf("trap fired early: %v", got)
+	}
+	publish(malleable.Event{Job: "j", Phase: malleable.PhaseSpawn, Added: []string{"h5", "h6"}})
+	publish(hpcm.CheckpointEvent{Proc: "batch.1", Host: "ws2", Begin: true})
+	publish(malleable.Event{Job: "j", Phase: malleable.PhaseSpawn, Added: []string{"h7"}})
+	publish(hpcm.CheckpointEvent{Proc: "batch.1", Host: "ws3", Begin: true})
+	got := in.Triggered()
+	if len(got) != 2 {
+		t.Fatalf("traps fired %d times, want 2: %v", len(got), got)
+	}
+	if !strings.HasPrefix(got[0], "trap crash-host host=h5 proc=j phase=spawn") {
+		t.Fatalf("resize trap = %s", got[0])
+	}
+	if !strings.HasPrefix(got[1], "trap kill-on-checkpoint proc=batch.1 host=ws2 target=host") {
+		t.Fatalf("checkpoint trap = %s", got[1])
+	}
+}
+
 func TestInjectorAppliesScheduledEvents(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 1000)
 	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
@@ -135,7 +169,7 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 		Cluster:      cl,
 		Metrics:      reg,
 		WrapReporter: in.WrapReporter,
-		Observer:     in.Observer(),
+		Events:       in,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -222,7 +222,7 @@ type Process struct {
 	live     *liveAttempt // in-flight precopy attempt, resolved at a poll-point
 	records  []Record
 	migrs    int
-	preinit  map[string]string // destination -> waiting port (Section 5.2)
+	preinit  map[string]preinitProc // destination -> waiting process (Section 5.2)
 	lastCkpt time.Time
 	ckpts    int
 	finished bool
@@ -406,8 +406,8 @@ func (p *Process) finish(err error) {
 	p.result = err
 	hp := p.hostProc
 	ports := make([]string, 0, len(p.preinit))
-	for _, port := range p.preinit {
-		ports = append(ports, port)
+	for _, pre := range p.preinit {
+		ports = append(ports, pre.port)
 	}
 	p.preinit = nil
 	p.mu.Unlock()

@@ -33,6 +33,7 @@ type liveAttempt struct {
 	pagesName string
 	pages     *livemig.Pages
 	inter     *mpi.Comm
+	dest      *initialized
 	rec       Record
 	driver    *livemig.Driver
 	send      livemig.SendFunc
@@ -48,11 +49,6 @@ func (att *liveAttempt) event(phase string, round int, err error) MigrationEvent
 		Proc: att.proc, From: att.rec.From, To: att.rec.To,
 		Label: att.label, Phase: phase, Round: round, Err: err,
 	}
-}
-
-// sendCancel tells the destination to discard the partial region and exit.
-func (att *liveAttempt) sendCancel() error {
-	return att.send(livemig.BatchMeta{Cancel: true}, nil)
 }
 
 // startLive begins a precopy attempt for the consumed migrate command. It
@@ -89,9 +85,10 @@ func (c *Context) startLive(label string, sig pendingCmd) (started bool, err err
 	// The destination assembles pages until the freeze batch; the live path
 	// always spawns — pre-initialized processes speak only the classic
 	// protocol.
-	inter, serr := c.env.Spawn([]string{cmd.DestHost}, func(child *mpi.Env) error {
-		return p.bootstrapLive(child, child.Parent)
-	})
+	dest := newInitialized()
+	inter, serr := c.env.Spawn([]string{cmd.DestHost}, dest.main(func(env *mpi.Env) error {
+		return p.bootstrapLive(env, env.Parent)
+	}))
 	if serr != nil {
 		mf := &MigrationFailure{
 			From: att.rec.From, To: att.rec.To, Label: label, Phase: PhaseStart,
@@ -101,6 +98,7 @@ func (c *Context) startLive(label string, sig pendingCmd) (started bool, err err
 		return true, mf
 	}
 	att.inter = inter
+	att.dest = dest
 	att.rec.InitDone = mw.clock.Now()
 	mw.observe(att.event(PhaseInit, 0, nil))
 
@@ -121,9 +119,9 @@ func (c *Context) startLive(label string, sig pendingCmd) (started bool, err err
 	}
 	driver, derr := livemig.NewDriver(*mw.live, pages, att.send, onRound)
 	if derr != nil {
-		// Unmigratable shape (empty region): cancel the spawn and let the
-		// classic path handle the command.
-		_ = att.sendCancel() //lint:allow discardederr best-effort release of the spawned destination; the classic path takes over either way
+		// Unmigratable shape (empty region): release the spawned
+		// destination and let the classic path handle the command.
+		dest.release()
 		return false, nil
 	}
 	att.driver = driver
@@ -139,7 +137,7 @@ func (c *Context) startLive(label string, sig pendingCmd) (started bool, err err
 		if att.cancelled.Load() {
 			// Stopped between rounds (process finished or was killed): the
 			// destination is still waiting for batches; release it.
-			_ = att.sendCancel() //lint:allow discardederr best-effort release; the attempt is already abandoned
+			att.dest.release()
 		}
 		close(att.done)
 	}()
@@ -180,7 +178,7 @@ func (c *Context) pollLive(label string) (handled bool, err error) {
 
 	mw := p.mw
 	if att.err != nil {
-		_ = att.sendCancel() //lint:allow discardederr the stream already failed; the failure below carries the cause
+		att.dest.release()
 		mf := &MigrationFailure{
 			From: att.rec.From, To: att.rec.To, Label: att.label,
 			Phase: PhasePrecopy, Err: att.err,
@@ -192,7 +190,7 @@ func (c *Context) pollLive(label string) (handled bool, err error) {
 		// The dirty set never converged: discard the precopy work and pay
 		// the classic stop-and-copy price — including a second spawn, which
 		// is exactly the visible fallback cost the experiments measure.
-		_ = att.sendCancel() //lint:allow discardederr best-effort release; the fallback migration spawns its own destination
+		att.dest.release()
 		mw.observe(att.event(PhaseAborted, att.res.Rounds, fmt.Errorf(
 			"hpcm: precopy did not converge after %d rounds: falling back to stop-and-copy", att.res.Rounds)))
 		return true, c.migrate(label, att.sig)
@@ -223,6 +221,7 @@ func (c *Context) freezeLive(label string, att *liveAttempt) error {
 		}
 	}
 	abort := func(phase string, err error) error {
+		att.dest.release()
 		mf := &MigrationFailure{
 			From: rec.From, To: rec.To, Label: label, Phase: phase, Err: err,
 		}
@@ -319,19 +318,19 @@ func (p *Process) cancelLive() {
 	att.driver.Stop()
 	select {
 	case <-att.done:
-		// The driver already finished and nobody will poll the result: tell
-		// the destination ourselves.
-		_ = att.sendCancel() //lint:allow discardederr best-effort release during teardown; the process is exiting
+		// The driver already finished and nobody will poll the result:
+		// release the destination ourselves.
+		att.dest.release()
 	default:
-		// The driver goroutine observes the stop and sends the cancel.
+		// The driver goroutine observes the stop and releases it.
 	}
 }
 
 // bootstrapLive is the live path's initialized process: it assembles the
 // paged region from precopy batches (each a BatchMeta plus one multi-part
 // raw page message) until the freeze batch completes it, then runs the
-// classic resume with the region pre-restored. A cancel batch — fallback,
-// or the source giving up — discards everything.
+// classic resume with the region pre-restored. A source that gives up
+// (fallback, or an abort) kills it instead, which ends the receive.
 func (p *Process) bootstrapLive(env *mpi.Env, parent *mpi.Comm) error {
 	var (
 		image     []byte
@@ -341,9 +340,6 @@ func (p *Process) bootstrapLive(env *mpi.Env, parent *mpi.Comm) error {
 		var meta livemig.BatchMeta
 		if _, err := parent.Recv(&meta, 0, tagPrecopy); err != nil {
 			return fmt.Errorf("hpcm: receive precopy batch: %w", err)
-		}
-		if meta.Cancel {
-			return nil
 		}
 		if image == nil {
 			image = make([]byte, meta.Total)

@@ -424,3 +424,61 @@ func TestSourceLossMidLazyStreamAbortsDestinationCleanly(t *testing.T) {
 		t.Fatal("process did not settle")
 	}
 }
+
+// TestPreCommitAbortReleasesDestination cuts the network once the
+// destination process exists — classic: at PhaseInit, before the state
+// transfer; live: after the first precopy round. The migration aborts
+// before the commit point, and the destination, blocked on state that will
+// never come, must be released: every process the universe launched
+// finishes.
+func TestPreCommitAbortReleasesDestination(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		live  *livemig.Config
+		phase string
+	}{
+		{"classic", nil, PhaseInit},
+		{"live", &livemig.Config{}, PhasePrecopy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := vclock.Scaled(vclock.Epoch, 200)
+			cut := &cuttableTransport{inner: mpi.ModelTransport{Clock: clock, Latency: time.Millisecond, Bandwidth: 1e6}}
+			u := mpi.NewUniverse(mpi.Options{Clock: clock, Transport: cut, SpawnLatency: 10 * time.Millisecond})
+			mw, err := New(Options{
+				Universe: u,
+				Hosts:    &testBinder{},
+				Live:     tc.live,
+				Observer: func(ev MigrationEvent) {
+					if ev.Phase == tc.phase {
+						cut.cut.Store(true)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			var mu sync.Mutex
+			p, err := mw.Start("app", "ws1", pagedMain(400, 2, nil, &sum, &mu))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Signal(Command{DestHost: "ws2"})
+			err = p.Wait()
+			var mf *MigrationFailure
+			if !errors.As(err, &mf) || mf.Committed {
+				t.Fatalf("Wait = %v, want a pre-commit *MigrationFailure", err)
+			}
+			released := make(chan struct{})
+			go func() {
+				u.Wait()
+				close(released)
+			}()
+			select {
+			case <-released:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the destination process never finished after the abort")
+			}
+		})
+	}
+}

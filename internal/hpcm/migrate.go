@@ -2,6 +2,7 @@ package hpcm
 
 import (
 	"fmt"
+	"sync"
 
 	"autoresched/internal/mpi"
 )
@@ -46,6 +47,31 @@ type resumeStatus struct {
 	Err string
 }
 
+// initialized is the destination's initialized process as the migrating
+// source holds it. Every abort before the commit point releases it: a
+// destination blocked on state that will never come would otherwise wait
+// for good, and killing it closes its mailbox, which wakes the receive.
+type initialized struct {
+	env  chan *mpi.Env // the process's Env, sent as soon as it runs
+	once sync.Once
+}
+
+func newInitialized() *initialized { return &initialized{env: make(chan *mpi.Env, 1)} }
+
+// main wraps the initialized process's entry point so it publishes its Env.
+func (d *initialized) main(boot func(env *mpi.Env) error) mpi.Main {
+	return func(env *mpi.Env) error {
+		d.env <- env
+		return boot(env)
+	}
+}
+
+// release kills the initialized process; calls after the first are no-ops.
+// The process must have been launched.
+func (d *initialized) release() {
+	d.once.Do(func() { (<-d.env).Kill() })
+}
+
 // migrate ships this incarnation to sig.cmd's destination. It runs at a
 // poll-point on the source and returns ErrMigrated on success. A failure
 // before the commit point returns a *MigrationFailure (Committed=false):
@@ -72,7 +98,11 @@ func (c *Context) migrate(label string, sig pendingCmd) error {
 			Label: label, Phase: phase, Err: err,
 		}
 	}
+	var dest *initialized // set once the destination process exists
 	abort := func(phase string, err error) error {
+		if dest != nil {
+			dest.release()
+		}
 		mf := &MigrationFailure{
 			From: rec.From, To: rec.To, Label: label, Phase: phase, Err: err,
 		}
@@ -107,21 +137,25 @@ func (c *Context) migrate(label string, sig pendingCmd) error {
 	// (MPI_Comm_spawn; charged with the LAM-like spawn latency). Either
 	// way an intercommunicator carries the state.
 	var inter *mpi.Comm
-	if port, ok := p.takePreinit(cmd.DestHost); ok {
+	if pre, ok := p.takePreinit(cmd.DestHost); ok {
 		var cerr error
-		inter, cerr = c.env.Connect(port, c.env.World)
+		inter, cerr = c.env.Connect(pre.port, c.env.World)
 		if cerr != nil {
 			inter = nil // pre-initialized process gone; fall back to spawn
+		} else {
+			dest = pre.proc
 		}
 	}
 	if inter == nil {
+		child := newInitialized()
 		var serr error
-		inter, serr = c.env.Spawn([]string{cmd.DestHost}, func(child *mpi.Env) error {
-			return p.bootstrap(child, child.Parent)
-		})
+		inter, serr = c.env.Spawn([]string{cmd.DestHost}, child.main(func(env *mpi.Env) error {
+			return p.bootstrap(env, env.Parent)
+		}))
 		if serr != nil {
 			return abort(PhaseStart, fmt.Errorf("hpcm: dynamic process creation on %q: %w", cmd.DestHost, serr))
 		}
+		dest = child
 	}
 	rec.InitDone = clock.Now()
 	mw.observe(event(PhaseInit, nil))

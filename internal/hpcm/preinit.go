@@ -24,25 +24,31 @@ func (p *Process) PreInit(dest string) error {
 		return fmt.Errorf("hpcm: PreInit after process completion")
 	}
 	if p.preinit == nil {
-		p.preinit = make(map[string]string)
+		p.preinit = make(map[string]preinitProc)
 	}
 	if _, ok := p.preinit[dest]; ok {
 		p.mu.Unlock()
 		return nil
 	}
 	u := p.mw.universe
-	port := u.OpenPort()
-	p.preinit[dest] = port
+	pre := preinitProc{port: u.OpenPort(), proc: newInitialized()}
+	p.preinit[dest] = pre
 	p.mu.Unlock()
 
-	u.Start([]string{dest}, func(env *mpi.Env) error {
-		inter, err := env.Accept(port, env.World)
+	u.Start([]string{dest}, pre.proc.main(func(env *mpi.Env) error {
+		inter, err := env.Accept(pre.port, env.World)
 		if err != nil {
 			return nil // released unused (port closed)
 		}
 		return p.bootstrap(env, inter)
-	})
+	}))
 	return nil
+}
+
+// preinitProc is a pre-initialized process waiting behind port.
+type preinitProc struct {
+	port string
+	proc *initialized
 }
 
 // PreInited reports the destinations with a waiting pre-initialized
@@ -57,14 +63,13 @@ func (p *Process) PreInited() []string {
 	return out
 }
 
-// takePreinit consumes the pre-initialized process for dest, if any,
-// returning the port to connect to.
-func (p *Process) takePreinit(dest string) (string, bool) {
+// takePreinit consumes the pre-initialized process for dest, if any.
+func (p *Process) takePreinit(dest string) (preinitProc, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	port, ok := p.preinit[dest]
+	pre, ok := p.preinit[dest]
 	if ok {
 		delete(p.preinit, dest)
 	}
-	return port, ok
+	return pre, ok
 }

@@ -125,9 +125,9 @@ func TestPreInitDeadFallsBackToSpawn(t *testing.T) {
 	}
 	// Kill the waiting child by closing its port behind the scenes.
 	p.mu.Lock()
-	port := p.preinit["ws2"]
+	pre := p.preinit["ws2"]
 	p.mu.Unlock()
-	mw.universe.ClosePort(port)
+	mw.universe.ClosePort(pre.port)
 
 	p.Signal(Command{DestHost: "ws2"})
 	if err := p.Wait(); err != nil {

@@ -22,9 +22,6 @@ type BatchMeta struct {
 	// Final marks the freeze batch: the region is complete once it is
 	// applied, and the classic execution-state transfer follows.
 	Final bool
-	// Cancel aborts the migration attempt: the destination discards the
-	// region and exits (precopy fallback, or the source giving up).
-	Cancel bool
 }
 
 // SendFunc ships one batch to the destination. hpcm binds this to the

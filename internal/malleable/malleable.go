@@ -14,9 +14,10 @@
 // migration — proposing a same-size placement with different hosts moves
 // ranks without changing the world size.
 //
-// Phases are announced synchronously through a ResizeObserver (the
-// fault-injection trap surface, mirroring hpcm.MigrationObserver) and timed
-// into malleable/* histograms on the shared metrics registry.
+// Phases are published synchronously on the unified event sink (the
+// fault-injection trap surface: a faults.Injector crashes a host at an
+// exact resize phase) and timed into malleable/* histograms on the shared
+// metrics registry.
 package malleable
 
 import (
@@ -56,12 +57,6 @@ type App interface {
 	// charging on the current host.
 	Step(rc *Rank, shard []byte) ([]byte, error)
 }
-
-// ResizeObserver receives phase events synchronously from the goroutine
-// driving the resize (rank 0, or the proposer for PhasePropose). Keep it
-// fast; it is on the protocol's critical path. The synchronous delivery is
-// what lets fault injection crash a host at an exact protocol phase.
-type ResizeObserver func(Event)
 
 // Phases of one resize attempt, in protocol order.
 const (
@@ -137,11 +132,11 @@ type Options struct {
 	// non-empty; InitialHosts[0] carries rank 0, which is pinned for the
 	// job's lifetime (a proposal dropping it is rejected).
 	InitialHosts []string
-	// Observer receives resize phase events; nil disables.
-	Observer ResizeObserver
 	// Events, when set, receives each resize phase on the unified sink
-	// (Source "malleable", Kind = phase, Payload = the Event). Delivery is
-	// synchronous, same as Observer.
+	// (Source "malleable", Kind = phase, Payload = the Event), synchronously
+	// from the goroutine driving the resize (rank 0, or the proposer for
+	// PhasePropose). It is on the protocol's critical path, so keep
+	// subscribers fast.
 	Events events.Sink
 	// Metrics records the malleable/* histograms and tallies
 	// committed/aborted resizes and spawned/retired ranks; nil disables.
@@ -217,15 +212,14 @@ type proposal struct {
 
 // Job is one running malleable application.
 type Job struct {
-	u        *mpi.Universe
-	clock    vclock.Clock
-	app      App
-	name     string
-	binder   hpcm.HostBinder
-	observer ResizeObserver
-	events   events.Sink
-	metrics  *metrics.Registry
-	poll     time.Duration
+	u       *mpi.Universe
+	clock   vclock.Clock
+	app     App
+	name    string
+	binder  hpcm.HostBinder
+	events  events.Sink
+	metrics *metrics.Registry
+	poll    time.Duration
 
 	mu              sync.Mutex
 	pending         *proposal
@@ -284,7 +278,6 @@ func Start(opts Options) (*Job, error) {
 		app:       opts.App,
 		name:      opts.Name,
 		binder:    opts.Hosts,
-		observer:  opts.Observer,
 		events:    opts.Events,
 		metrics:   opts.Metrics,
 		poll:      opts.DrainPoll,
@@ -446,9 +439,6 @@ func (j *Job) hostDead(host string) bool {
 }
 
 func (j *Job) emit(ev Event) {
-	if j.observer != nil {
-		j.observer(ev)
-	}
 	if j.events != nil {
 		var err error
 		if ev.Err != "" {

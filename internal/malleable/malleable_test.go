@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
 	"autoresched/internal/vclock"
@@ -171,7 +172,7 @@ func TestExpandCommit(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 2),
-		Observer: log.observe, Metrics: reg,
+		Events: events.On(log.observe), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -228,7 +229,7 @@ func TestShrinkCommit(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 4),
-		Observer: log.observe, Metrics: reg,
+		Events: events.On(log.observe), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -314,7 +315,7 @@ func TestSpawnFailureAborts(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 3),
-		Observer: log.observe, Metrics: reg,
+		Events: events.On(log.observe), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -376,7 +377,7 @@ func TestCrashNewRankMidExpandAborts(t *testing.T) {
 		}
 	}}
 	j, err := Start(Options{
-		Universe: u, App: gated, InitialHosts: hosts("h", 3), Observer: obs,
+		Universe: u, App: gated, InitialHosts: hosts("h", 3), Events: events.On(obs),
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -416,7 +417,7 @@ func TestCrashVictimMidShrinkCommits(t *testing.T) {
 		}
 	}}
 	j, err := Start(Options{
-		Universe: u, App: gated, InitialHosts: hosts("h", 3), Observer: obs,
+		Universe: u, App: gated, InitialHosts: hosts("h", 3), Events: events.On(obs),
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)

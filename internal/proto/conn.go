@@ -19,37 +19,6 @@ import (
 // huge allocation.
 const maxFrame = 16 << 20
 
-// WriteFrame writes one length-prefixed XML message.
-func WriteFrame(w io.Writer, data []byte) error {
-	if len(data) > maxFrame {
-		return fmt.Errorf("proto: frame of %d bytes exceeds limit", len(data))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-// ReadFrame reads one length-prefixed XML message.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
 // Conn is a message-oriented connection: framed XML messages over any
 // stream. It serialises writes; reads must come from a single goroutine.
 type Conn struct {
@@ -139,9 +108,9 @@ func (c *Conn) sendRaw(m *Message) error {
 	return c.writeFrame(buf.Bytes())
 }
 
-// writeFrame is WriteFrame with the header staged in the connection
-// (stack headers escape through the io.Writer and allocate per frame).
-// Callers must hold c.wr.
+// writeFrame writes one length-prefixed frame, the header staged in the
+// connection (a stack header escapes through the io.Writer and allocates
+// per frame). Callers must hold c.wr.
 func (c *Conn) writeFrame(data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("proto: frame of %d bytes exceeds limit", len(data))
@@ -166,7 +135,8 @@ func (c *Conn) Recv() (*Message, error) {
 	return Decode(data)
 }
 
-// readFrame reads one frame into the connection's reusable buffer.
+// readFrame reads one length-prefixed frame into the connection's reusable
+// buffer, rejecting a header that advertises more than maxFrame bytes.
 func (c *Conn) readFrame() ([]byte, error) {
 	if _, err := io.ReadFull(c.rw, c.rhdr[:]); err != nil {
 		return nil, err

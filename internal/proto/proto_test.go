@@ -97,16 +97,30 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
+// frameConn is a Conn over an in-memory stream, for exercising the framing
+// path the server and client run.
+func frameConn() (*Conn, *bytes.Buffer) {
 	var buf bytes.Buffer
+	return NewConn(&buf), &buf
+}
+
+// writeFrame writes one frame under the lock the framing path requires.
+func writeFrame(c *Conn, data []byte) error {
+	c.wr.Lock()
+	defer c.wr.Unlock()
+	return c.writeFrame(data)
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	c, _ := frameConn()
 	payloads := [][]byte{[]byte(""), []byte("a"), bytes.Repeat([]byte("xy"), 5000)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+		if err := writeFrame(c, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, p := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := c.readFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,20 +131,20 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameLimits(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, maxFrame+1)); err == nil {
+	c, buf := frameConn()
+	if err := writeFrame(c, make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// Header advertising an oversized frame is rejected on read.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := c.readFrame(); err == nil {
 		t.Fatal("oversized header accepted")
 	}
 	// Truncated frame.
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 10, 'x'})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := c.readFrame(); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
@@ -138,11 +152,11 @@ func TestFrameLimits(t *testing.T) {
 // Property: any ASCII payload round-trips through a frame.
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(payload []byte) bool {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload); err != nil {
+		c, _ := frameConn()
+		if err := writeFrame(c, payload); err != nil {
 			return len(payload) > maxFrame
 		}
-		got, err := ReadFrame(&buf)
+		got, err := c.readFrame()
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

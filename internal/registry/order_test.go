@@ -99,8 +99,8 @@ func TestTraceEventsReachUnifiedSink(t *testing.T) {
 	if got := ring.CountBy(events.SourceRegistry, "ordered"); got != 1 {
 		t.Fatalf("ordered events = %d, want 1", got)
 	}
-	// The unified stream mirrors the legacy trace one-for-one.
-	if got, want := ring.CountBy(events.SourceRegistry, ""), len(r.Trace()); got != want {
-		t.Fatalf("unified events = %d, trace entries = %d", got, want)
+	// Those two are the whole decision trace.
+	if got := ring.CountBy(events.SourceRegistry, ""); got != 2 {
+		t.Fatalf("registry events = %d, want 2 (warmup, ordered)", got)
 	}
 }

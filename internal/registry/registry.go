@@ -9,7 +9,7 @@
 // # Concurrency contract
 //
 // A Registry is safe for concurrent use. Read methods (Hosts, Processes,
-// Health, Trace, StateOf, Stats, Domains) return deep-enough copies that the
+// Health, StateOf, Stats, Domains) return deep-enough copies that the
 // caller may use without synchronisation. Ordering is deterministic:
 // Hosts returns hosts in registration order, Processes returns processes in
 // PID order, Domains returns domains in attach order. Concurrent writers
@@ -78,8 +78,8 @@ type Config struct {
 	// same source host; zero selects 60 seconds.
 	Cooldown time.Duration
 	// Events, if set, observes every scheduling-decision event as it
-	// happens on the unified runtime sink (Source "registry"); the trace is
-	// also kept in a ring buffer (see Trace).
+	// happens on the unified runtime sink (Source "registry", Kind one of
+	// the Event* constants).
 	Events events.Sink
 	// Store, when set, makes the protocol state durable: every mutation
 	// appends a typed change record to this write-ahead store, and Restart
@@ -162,7 +162,6 @@ type Registry struct {
 	// reserved marks hosts held by pending gang reservations; candidate
 	// scans skip them until the reservation commits or aborts.
 	reserved map[string]*GangReservation
-	events   []Event
 	regSeq   int
 	decided  int // migrate orders issued
 	declined int // decision cycles that found no destination
@@ -373,8 +372,8 @@ func (r *Registry) applyStatusLocked(host string, status proto.Status) error {
 // no re-registration storm, zero monitor re-registrations — and pending
 // gang reservations are presumed aborted (their pre-crash handles stay
 // poisoned, so a Commit from before the crash still fails). Scheduler
-// damping re-warms either way. The decision trace is diagnostic state, not
-// protocol state, so it survives in both modes.
+// damping re-warms either way. Either way the restart is published on
+// Config.Events with a RestartEvent payload.
 func (r *Registry) Restart() {
 	r.mu.Lock()
 	// Pending gang reservations do not survive the incarnation in either
@@ -409,7 +408,9 @@ func (r *Registry) Restart() {
 	note := "soft state dropped"
 	if recovered {
 		r.cfg.Metrics.Counter(metrics.CtrRegistryRecoveries).Inc()
-		note = fmt.Sprintf("recovered from store: %d hosts, %d procs at seq %d", ev.Hosts, ev.Procs, ev.Seq)
+		if r.cfg.Events != nil {
+			note = fmt.Sprintf("recovered from store: %d hosts, %d procs at seq %d", ev.Hosts, ev.Procs, ev.Seq)
+		}
 	}
 	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(hosts))
 	r.traceWith(ev, EventRestart, "", 0, "", note)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 	"autoresched/internal/vclock"
@@ -12,7 +13,8 @@ import (
 func TestRestartDropsSoftState(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	reg := metrics.NewRegistry()
-	r := newFromConfig(Config{Clock: clock, Metrics: reg})
+	ring := &events.Ring{}
+	r := newFromConfig(Config{Clock: clock, Metrics: reg, Events: ring})
 	if err := r.RegisterHost("ws1", proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +42,9 @@ func TestRestartDropsSoftState(t *testing.T) {
 	if reg.Counter(metrics.CtrRegistryRestarts).Value() != 1 {
 		t.Fatalf("restart counter = %d", reg.Counter(metrics.CtrRegistryRestarts).Value())
 	}
-	// The diagnostic trace survives and records the restart.
-	var found bool
-	for _, e := range r.Trace() {
-		if e.Kind == EventRestart {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no restart event in trace: %+v", r.Trace())
+	// The decision trace records the restart.
+	if ring.CountBy(events.SourceRegistry, EventRestart) == 0 {
+		t.Fatalf("no restart event in trace: %+v", ring.Events())
 	}
 	// Re-registration resumes normal service.
 	if err := r.RegisterHost("ws1", proto.StaticInfo{CPUSpeed: 1e6}); err != nil {

@@ -154,7 +154,9 @@ func (r *Registry) decide(host string) {
 	if e.warmup < r.cfg.Warmup {
 		warm := e.warmup
 		r.mu.Unlock()
-		r.trace(EventWarmup, host, 0, "", fmt.Sprintf("%d/%d reports", warm, r.cfg.Warmup))
+		if r.cfg.Events != nil {
+			r.trace(EventWarmup, host, 0, "", fmt.Sprintf("%d/%d reports", warm, r.cfg.Warmup))
+		}
 		return
 	}
 	now := r.clock.Now()

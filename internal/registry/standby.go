@@ -141,7 +141,9 @@ func (s *Standby) Promote() (*Registry, error) {
 	r.mu.Unlock()
 	r.cfg.Metrics.Counter(metrics.CtrStandbyPromotions).Inc()
 	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(hosts))
-	r.traceWith(ev, EventPromoted, "", 0, "",
-		fmt.Sprintf("standby promoted at epoch %d, seq %d: %d hosts, %d procs", epoch, ev.Seq, ev.Hosts, ev.Procs))
+	if r.cfg.Events != nil {
+		r.traceWith(ev, EventPromoted, "", 0, "",
+			fmt.Sprintf("standby promoted at epoch %d, seq %d: %d hosts, %d procs", epoch, ev.Seq, ev.Hosts, ev.Procs))
+	}
 	return r, nil
 }

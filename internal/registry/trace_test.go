@@ -3,7 +3,6 @@ package registry
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,15 +14,10 @@ import (
 func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	sink := &fakeSink{}
-	var observed []string
-	var mu sync.Mutex
+	ring := &events.Ring{}
 	r := newFromConfig(Config{
 		Clock: clock, Commands: sink, Warmup: 2, Cooldown: time.Minute,
-		Events: events.SinkFunc(func(e events.Event) {
-			mu.Lock()
-			observed = append(observed, e.Kind)
-			mu.Unlock()
-		}),
+		Events: ring,
 	})
 	for _, h := range []string{"ws1", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
@@ -57,12 +51,15 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 		}
 	}
 
-	trace := r.Trace()
-	kinds := make([]EventKind, len(trace))
+	trace := ring.Events()
+	kinds := make([]string, len(trace))
 	for i, e := range trace {
+		if e.Source != events.SourceRegistry {
+			t.Fatalf("event source = %q", e.Source)
+		}
 		kinds[i] = e.Kind
 	}
-	want := []EventKind{EventWarmup, EventNoProcess, EventOrdered, EventWarmup, EventCooldown}
+	want := []string{EventWarmup, EventNoProcess, EventOrdered, EventWarmup, EventCooldown}
 	if len(kinds) != len(want) {
 		t.Fatalf("trace = %v, want %v", kinds, want)
 	}
@@ -78,22 +75,13 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 	if s := ordered.String(); !strings.Contains(s, "ordered") || !strings.Contains(s, "dest=ws4") {
 		t.Fatalf("String() = %q", s)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(observed) != len(want) {
-		t.Fatalf("Events saw %v", observed)
-	}
-	for i := range want {
-		if observed[i] != string(want[i]) {
-			t.Fatalf("Events saw %v, want %v", observed, want)
-		}
-	}
 }
 
 func TestDecisionTraceOrderFailed(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	sink := &fakeSink{err: errors.New("commander unreachable")}
-	r := newFromConfig(Config{Clock: clock, Commands: sink, Warmup: 1, Cooldown: time.Minute})
+	ring := &events.Ring{}
+	r := newFromConfig(Config{Clock: clock, Commands: sink, Warmup: 1, Cooldown: time.Minute, Events: ring})
 	for _, h := range []string{"ws1", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)
@@ -108,22 +96,11 @@ func TestDecisionTraceOrderFailed(t *testing.T) {
 	if err := r.ReportStatus("ws1", status("overloaded", 3, 200)); err != nil {
 		t.Fatal(err)
 	}
-	events := r.Trace()
-	if len(events) != 1 || events[0].Kind != EventOrderFailed {
-		t.Fatalf("trace = %+v", events)
+	evs := ring.Events()
+	if len(evs) != 1 || evs[0].Kind != EventOrderFailed {
+		t.Fatalf("trace = %+v", evs)
 	}
-	if !strings.Contains(events[0].Note, "unreachable") {
-		t.Fatalf("note = %q", events[0].Note)
-	}
-}
-
-func TestDecisionTraceBounded(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock})
-	for i := 0; i < traceCap+100; i++ {
-		r.trace(EventWarmup, "ws1", 0, "", "")
-	}
-	if got := len(r.Trace()); got != traceCap {
-		t.Fatalf("trace len = %d, want %d", got, traceCap)
+	if !strings.Contains(evs[0].Note, "unreachable") {
+		t.Fatalf("note = %q", evs[0].Note)
 	}
 }
