@@ -5,8 +5,8 @@
 # run of the simulation/experiment packages, 64-host scale, malleability
 # and fleet smokes, and the benchmark drift guard); `make bench`
 # regenerates BENCH_scale.json, BENCH_livemig.json, BENCH_malleable.json,
-# BENCH_multijob.json and BENCH_persist.json; `make loc` prints the Go
-# line counts (non-test and test) that simplifications report.
+# BENCH_multijob.json, BENCH_persist.json and BENCH_hpcm.json; `make loc`
+# prints the Go line counts (non-test and test) that simplifications report.
 
 GO ?= go
 
@@ -97,7 +97,8 @@ fleet: build
 # multi-part send path, and one whole 64-host sweep end to end. All runs
 # carry -benchmem so the reports track B/op and allocs/op alongside ns/op.
 # Live-migration microbenchmarks (paged writes, dirty scans, modeled
-# downtime) -> BENCH_livemig.json.
+# downtime) -> BENCH_livemig.json. One whole hpcm migration on a free
+# transport and a manual clock (CPU and allocations only) -> BENCH_hpcm.json.
 bench: build
 	{ $(GO) test -run '^$$' -bench 'BenchmarkRegistryReportStatus|BenchmarkCandidate' \
 	      -benchtime 1000x -benchmem ./internal/registry ; \
@@ -114,6 +115,8 @@ bench: build
 	      -benchtime 1000x -benchmem ./internal/persist ; \
 	  $(GO) test -run '^$$' -bench BenchmarkReplayBootstrap -benchtime 10x -benchmem ./internal/registry ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_persist.json
+	$(GO) test -run '^$$' -bench BenchmarkMigration -benchtime 100x -benchmem ./internal/hpcm \
+	| $(GO) run ./cmd/benchjson -o BENCH_hpcm.json
 
 # Go line counts of the runtime (internal/, cmd/, examples/; testdata/
 # excluded), split into non-test and _test.go files: the size measure each
@@ -145,3 +148,5 @@ benchguard: build
 	      -benchtime 1000x -benchmem ./internal/persist ; \
 	  $(GO) test -run '^$$' -bench BenchmarkReplayBootstrap -benchtime 10x -benchmem ./internal/registry ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_persist.json -baseline BENCH_persist.json -max-ratio 3
+	$(GO) test -run '^$$' -bench BenchmarkMigration -benchtime 100x -benchmem ./internal/hpcm \
+	| $(GO) run ./cmd/benchjson -o BENCH_hpcm.json -baseline BENCH_hpcm.json -max-ratio 3

@@ -47,6 +47,10 @@ func (c *Context) Register(name string, ptr any) error {
 // destination in chunks while the resumed incarnation already executes
 // (the restoration/execution overlap of Section 5.2). Call Await before
 // touching it on a resumed incarnation.
+//
+// A registered *[]byte moves without a copy: the resumed incarnation's
+// slice may share memory with the source's. The source must therefore not
+// touch registered state once PollPoint has returned ErrMigrated.
 func (c *Context) RegisterLazy(name string, ptr any) error {
 	return c.state.register(name, ptr, true)
 }

@@ -21,9 +21,12 @@
 //     first; the initialized process resumes immediately after — "the
 //     process resumes execution at the destination before the migration
 //     ends".
-//  4. Lazy (bulk) memory state streams over in chunks concurrently with the
-//     resumed execution, charged to the network; Context.Await blocks the
-//     application if it touches bulk state before its restoration finishes.
+//  4. Lazy (bulk) memory state streams over as raw chunks, in the header's
+//     inventory order and sizes, concurrently with the resumed execution and
+//     charged to the network; Context.Await blocks the application if it
+//     touches bulk state before its restoration finishes. Every chunk is a
+//     subslice of the source's blob, so the destination reassembles it in
+//     place on the source's memory, without a copy.
 //
 // Every phase is timed into a Record, which the evaluation harness uses to
 // reproduce the Figure 7/8 timelines and the migration-time column of
@@ -84,7 +87,8 @@ type Options struct {
 	Universe *mpi.Universe
 	// Hosts binds incarnations to host resources; nil runs unbound.
 	Hosts HostBinder
-	// ChunkBytes is the lazy-state streaming chunk size; zero selects 1 MB.
+	// ChunkBytes is the lazy-state streaming chunk size, the granularity
+	// at which bulk state is charged to the transport; zero selects 1 MB.
 	ChunkBytes int
 	// Checkpoints, when set, enables the checkpointing extension: processes
 	// can write their state to the store at poll-points and be restored

@@ -30,15 +30,6 @@ type header struct {
 	PagesName string
 }
 
-// chunkMeta announces one lazy-state fragment; the fragment's bytes follow
-// as a raw message (the mpi []byte fast path), so large memory images move
-// with a single copy end to end.
-type chunkMeta struct {
-	Name string
-	Size int64
-	Last bool
-}
-
 // resumeStatus reports whether the initialized process took over. The child
 // always sends one before doing anything else that can block the source, so
 // a destination-side failure never wedges the migrating process.
@@ -235,22 +226,18 @@ func (c *Context) completeMigration(inter *mpi.Comm, oldHP HostProc, hdr header,
 		return ErrMigrated
 	}
 
+	// Each blob goes as raw chunks (the mpi []byte fast path) in the
+	// header's inventory order; the destination knows every blob's size, so
+	// no per-chunk metadata travels. A zero-size blob still sends one empty
+	// chunk.
 	for _, name := range hdr.LazyNames {
 		data := lazy[name]
 		for off := 0; ; off += mw.chunk {
-			end := off + mw.chunk
-			last := end >= len(data)
-			if last {
-				end = len(data)
-			}
-			meta := chunkMeta{Name: name, Size: int64(end - off), Last: last}
-			if err := inter.Send(meta, 0, tagLazy); err != nil {
-				return postFail(fmt.Errorf("hpcm: lazy state transfer of %q: %w", name, err))
-			}
+			end := min(off+mw.chunk, len(data))
 			if err := inter.Send(data[off:end], 0, tagLazy); err != nil {
 				return postFail(fmt.Errorf("hpcm: lazy state transfer of %q: %w", name, err))
 			}
-			if last {
+			if end == len(data) {
 				break
 			}
 		}
@@ -316,46 +303,79 @@ func (p *Process) bootstrapResume(env *mpi.Env, parent *mpi.Comm, region []byte)
 		return err
 	}
 
-	// Background restoration of lazy state, overlapping execution. Buffers
-	// are preallocated from the header's size inventory so reassembly is a
-	// single sequential copy per blob.
+	// Background restoration of lazy state, overlapping execution.
 	restoreErr := make(chan error, 1)
 	go func() {
-		sizes := make(map[string]int64, len(hdr.LazyNames))
-		for i, name := range hdr.LazyNames {
-			sizes[name] = hdr.LazySizes[i]
+		err := restoreLazy(hdr, saved, func() ([]byte, error) {
+			var chunk []byte
+			_, err := parent.Recv(&chunk, 0, tagLazy)
+			return chunk, err
+		})
+		if err == nil {
+			err = parent.Send(true, 0, tagRestored)
 		}
-		pending := make(map[string][]byte, len(hdr.LazyNames))
-		remaining := len(hdr.LazyNames)
-		for remaining > 0 {
-			var meta chunkMeta
-			if _, err := parent.Recv(&meta, 0, tagLazy); err != nil {
-				restoreErr <- err
-				return
-			}
-			var data []byte
-			if _, err := parent.Recv(&data, 0, tagLazy); err != nil {
-				restoreErr <- err
-				return
-			}
-			buf, ok := pending[meta.Name]
-			if !ok {
-				buf = make([]byte, 0, sizes[meta.Name])
-			}
-			buf = append(buf, data...)
-			pending[meta.Name] = buf
-			if meta.Last {
-				saved.completeLazy(meta.Name, buf)
-				delete(pending, meta.Name)
-				remaining--
-			}
-		}
-		restoreErr <- parent.Send(true, 0, tagRestored)
+		restoreErr <- err
 	}()
 
 	err = p.incarnation(env, hdr.Label, saved)
-	if rerr := <-restoreErr; rerr != nil && err == nil {
+	// A stream the source failed after the commit point never completes:
+	// stop waiting for it. Returning closes this process's endpoint, which
+	// ends the restore goroutine's receive.
+	var rerr error
+	select {
+	case rerr = <-restoreErr:
+	case <-saved.dead:
+		rerr = saved.err // written once, before dead closed
+	}
+	if rerr != nil && err == nil {
 		err = fmt.Errorf("hpcm: lazy restoration: %w", rerr)
 	}
 	return err
+}
+
+// restoreLazy reads the lazy stream in the header's inventory order and
+// installs each blob as soon as its last byte has arrived.
+func restoreLazy(hdr header, saved *savedState, recv func() ([]byte, error)) error {
+	for i, name := range hdr.LazyNames {
+		blob, err := assembleLazy(hdr.LazySizes[i], recv)
+		if err != nil {
+			return fmt.Errorf("%q: %w", name, err)
+		}
+		saved.completeLazy(name, blob)
+	}
+	return nil
+}
+
+// assembleLazy reassembles one size-byte lazy blob from its raw chunks,
+// reading until size bytes have arrived (a zero-size blob is one empty
+// chunk). In-process every chunk is a subslice of the sender's one blob, so
+// a chunk that continues the previous one's backing array extends the blob
+// by reslicing: the blob is reassembled in place, without a copy. The first
+// chunk that does not continue it moves the blob into a buffer the assembly
+// owns. The assembly never writes into memory it received.
+func assembleLazy(size int64, recv func() ([]byte, error)) ([]byte, error) {
+	var blob []byte
+	owned := false
+	for first := true; first || int64(len(blob)) < size; first = false {
+		chunk, err := recv()
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case first:
+			blob = chunk
+		case owned:
+			blob = append(blob, chunk...)
+		case len(chunk) > 0 && len(blob) < cap(blob) && &blob[:len(blob)+1][len(blob)] == &chunk[0]:
+			blob = blob[:len(blob)+len(chunk)]
+		default:
+			own := make([]byte, len(blob), size)
+			copy(own, blob)
+			blob, owned = append(own, chunk...), true
+		}
+		if int64(len(blob)) > size {
+			return nil, fmt.Errorf("lazy blob overran its %d-byte size", size)
+		}
+	}
+	return blob, nil
 }

@@ -36,6 +36,7 @@ type savedState struct {
 	lazy  map[string][]byte // complete lazy blobs (assembled from chunks)
 	ready map[string]bool   // lazy name fully received
 	err   error             // the inbound stream died; missing blobs never arrive
+	dead  chan struct{}     // closed when err is set
 }
 
 func newSavedState() *savedState {
@@ -43,6 +44,7 @@ func newSavedState() *savedState {
 		eager: make(map[string][]byte),
 		lazy:  make(map[string][]byte),
 		ready: make(map[string]bool),
+		dead:  make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -58,11 +60,12 @@ func (s *savedState) completeLazy(name string, data []byte) {
 }
 
 // fail marks the inbound state stream dead: blobs not yet complete will
-// never arrive, and awaiters unblock with err.
+// never arrive, awaiters unblock with err, and dead closes.
 func (s *savedState) fail(err error) {
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = err
+		close(s.dead)
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -230,20 +233,6 @@ func decodeState(data []byte, ptr any) error {
 		return pg.Load(data)
 	}
 	return gobDecode(data, ptr)
-}
-
-// names returns the registered names split by kind.
-func (r *registry) names() (eager, lazy []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, e := range r.entries {
-		if e.lazy {
-			lazy = append(lazy, name)
-		} else {
-			eager = append(eager, name)
-		}
-	}
-	return eager, lazy
 }
 
 func gobEncode(v any) ([]byte, error) {
